@@ -270,7 +270,7 @@ pub fn perform_read(task: &ReadTask, qeg: &QegFactory, db: &SiteDatabase) -> Rea
         }
         ReadTaskKind::FinalizeSite { plan, addr, qid, partial } => {
             let t = Instant::now();
-            let frag = matched_final_paths(plan, db, task.posed_at).and_then(|paths| {
+            let export = matched_final_paths(plan, db, task.posed_at).and_then(|paths| {
                 if paths.is_empty() {
                     // Negative evidence: ship the local information of the
                     // deepest resolvable id-pinned prefix, so the requester
@@ -282,7 +282,7 @@ pub fn perform_read(task: &ReadTask, qeg: &QegFactory, db: &SiteDatabase) -> Rea
                             break Ok(None);
                         }
                         if db.contains(&p) {
-                            break db.export_local_info(&p).map(Some);
+                            break db.plan_local_info(&p).map(Some);
                         }
                         match p.parent() {
                             Some(pp) => p = pp,
@@ -294,17 +294,14 @@ pub fn perform_read(task: &ReadTask, qeg: &QegFactory, db: &SiteDatabase) -> Rea
                     // (subsumption, §3.3): the receiver then caches e.g. a
                     // complete block instead of loose parking spaces.
                     let coalesced = db.coalesce_covering_paths(&paths);
-                    db.export_subtrees(&coalesced).map(Some)
+                    db.plan_export(&coalesced).map(Some)
                 }
             });
             done.time_extract = t.elapsed().as_secs_f64();
-            let fragment_xml = match frag {
-                Ok(Some(doc)) => {
+            let fragment_xml = match export {
+                Ok(Some(export)) => {
                     let t2 = Instant::now();
-                    let xml = doc
-                        .root()
-                        .map(|r| sensorxml::serialize(&doc, r))
-                        .unwrap_or_default();
+                    let xml = export.xml();
                     done.time_comm = t2.elapsed().as_secs_f64();
                     xml
                 }

@@ -14,9 +14,13 @@
 //! cache conditions **C1/C2** (§3.3), which are shape-identical to I1/I2,
 //! so merging preserves the invariants by construction.
 
+mod export;
+
 use std::sync::Arc;
 
 use sensorxml::{Document, NodeId};
+
+pub use export::FragmentExport;
 
 use crate::error::{CoreError, CoreResult};
 use crate::idable::{copy_local_id_information, IdPath, STATUS_ATTR};
@@ -471,7 +475,7 @@ impl SiteDatabase {
                         Ok(())
                     }
                     Some(root) => {
-                        self.merge_nodes(src, src_root, root);
+                        self.merge_nodes(&self.service.clone(), src, src_root, root);
                         Ok(())
                     }
                 }
@@ -490,7 +494,7 @@ impl SiteDatabase {
                         Ok(())
                     }
                     Some(existing) => {
-                        self.merge_nodes(src, src_root, existing);
+                        self.merge_nodes(&self.service.clone(), src, src_root, existing);
                         Ok(())
                     }
                 }
@@ -524,7 +528,7 @@ impl SiteDatabase {
                         "fragment root does not match database root".into(),
                     ));
                 }
-                self.merge_nodes(frag, frag_root, root);
+                self.merge_nodes(&self.service.clone(), frag, frag_root, root);
             }
         }
         if self.wal.is_some() {
@@ -537,8 +541,10 @@ impl SiteDatabase {
         Ok(())
     }
 
-    /// Recursive merge of `theirs` (in `frag`) into `ours`.
-    fn merge_nodes(&mut self, frag: &Document, theirs: NodeId, ours: NodeId) {
+    /// Recursive merge of `theirs` (in `frag`) into `ours`. `service` is
+    /// this database's own, handed down so the recursion borrows it instead
+    /// of cloning its strings per node.
+    fn merge_nodes(&mut self, service: &Service, frag: &Document, theirs: NodeId, ours: NodeId) {
         let our_status = self.status_of(ours).unwrap_or(Status::Incomplete);
         let their_status = frag
             .attr(theirs, STATUS_ATTR)
@@ -548,14 +554,14 @@ impl SiteDatabase {
         // buggy peer cannot steal ownership.
         let their_status = their_status.min(Status::Complete);
 
-        let ts_field = self.service.timestamp_field.clone();
+        let ts_field = &service.timestamp_field;
         let our_ts = self
             .doc
-            .attr(ours, &ts_field)
+            .attr(ours, ts_field)
             .and_then(|s| s.parse::<f64>().ok())
             .unwrap_or(0.0);
         let their_ts = frag
-            .attr(theirs, &ts_field)
+            .attr(theirs, ts_field)
             .and_then(|s| s.parse::<f64>().ok())
             .unwrap_or(0.0);
 
@@ -572,7 +578,7 @@ impl SiteDatabase {
                 .doc
                 .child_elements(ours)
                 .filter(|&c| {
-                    self.service.schema.is_idable(self.doc.name(c))
+                    service.schema.is_idable(self.doc.name(c))
                         && !self.subtree_contains_owned(c)
                         && match self.doc.attr(c, "id") {
                             Some(id) => frag
@@ -593,7 +599,7 @@ impl SiteDatabase {
                 .iter()
                 .copied()
                 .filter(|&c| {
-                    !(self.doc.is_element(c) && self.service.schema.is_idable(self.doc.name(c)))
+                    !(self.doc.is_element(c) && service.schema.is_idable(self.doc.name(c)))
                 })
                 .collect();
             for c in ours_non_idable {
@@ -607,7 +613,7 @@ impl SiteDatabase {
             let their_kids: Vec<NodeId> = frag.children(theirs).to_vec();
             for c in their_kids {
                 let is_idable_child =
-                    frag.is_element(c) && self.service.schema.is_idable(frag.name(c));
+                    frag.is_element(c) && service.schema.is_idable(frag.name(c));
                 if !is_idable_child {
                     let copied = frag.deep_copy_into(c, &mut self.doc);
                     self.doc.append_child(ours, copied);
@@ -622,15 +628,14 @@ impl SiteDatabase {
         // Merge IDable children structurally.
         let their_idable: Vec<NodeId> = frag
             .child_elements(theirs)
-            .filter(|&c| self.service.schema.is_idable(frag.name(c)))
+            .filter(|&c| service.schema.is_idable(frag.name(c)))
             .collect();
         for tc in their_idable {
-            let tag = frag.name(tc).to_string();
-            let Some(id) = frag.attr(tc, "id").map(str::to_string) else {
+            let Some(id) = frag.attr(tc, "id") else {
                 continue;
             };
-            match self.doc.child_by_name_id(ours, &tag, &id) {
-                Some(oc) => self.merge_nodes(frag, tc, oc),
+            match self.doc.child_by_name_id(ours, frag.name(tc), id) {
+                Some(oc) => self.merge_nodes(service, frag, tc, oc),
                 None => {
                     let copied = frag.deep_copy_into(tc, &mut self.doc);
                     self.doc.append_child(ours, copied);
@@ -657,116 +662,6 @@ impl SiteDatabase {
     // Exporting fragments (subquery answers / migration)
     // ------------------------------------------------------------------
 
-    /// Builds a wire fragment containing, for each target path: the target
-    /// node's full stored subtree, plus the local ID information of every
-    /// ancestor (status `id-complete`, children stubs `incomplete`) —
-    /// the smallest superset satisfying C1/C2 (§3.3). `owned` statuses are
-    /// exported as `complete`.
-    pub fn export_subtrees(&self, targets: &[IdPath]) -> CoreResult<Document> {
-        let mut out = Document::new();
-        for path in targets {
-            let node = path.resolve(&self.doc).ok_or_else(|| {
-                CoreError::Protocol(format!("export: no node at {path}"))
-            })?;
-            // Ancestor chain.
-            let mut out_cursor: Option<NodeId> = None;
-            let mut cur_path = IdPath::root();
-            for (i, (tag, id)) in path.segments().iter().enumerate() {
-                cur_path = cur_path.child(tag.clone(), id.clone());
-                let is_target = i + 1 == path.len();
-                let db_node = cur_path
-                    .resolve(&self.doc)
-                    .expect("prefix of resolvable path resolves");
-                if is_target {
-                    let sub = self.export_subtree_node(node, &mut out);
-                    let _ = db_node;
-                    match out_cursor {
-                        None => out.set_root(sub)?,
-                        Some(parent) => {
-                            // Replace a stub inserted by a previous target's
-                            // ancestor chain, if any.
-                            if let Some(stub) = out.child_by_name_id(parent, tag, id) {
-                                out.detach(stub);
-                            }
-                            out.append_child(parent, sub);
-                        }
-                    }
-                } else {
-                    // Ensure ancestor with local ID information.
-                    let existing = match out_cursor {
-                        None => out.root().filter(|&r| {
-                            out.name(r) == tag && out.attr(r, "id") == Some(id)
-                        }),
-                        Some(parent) => out.child_by_name_id(parent, tag, id),
-                    };
-                    let anc = match existing {
-                        Some(e) => {
-                            // A node first emitted as a bare sibling stub
-                            // must be upgraded to full local ID information
-                            // before children hang off it (C2).
-                            if out.attr(e, STATUS_ATTR)
-                                == Some(Status::Incomplete.as_str())
-                            {
-                                out.set_attr(e, STATUS_ATTR, Status::IdComplete.as_str());
-                                let kids: Vec<(String, String)> = self
-                                    .doc
-                                    .child_elements(db_node)
-                                    .filter(|&c| {
-                                        self.service.schema.is_idable(self.doc.name(c))
-                                    })
-                                    .filter_map(|c| {
-                                        self.doc.attr(c, "id").map(|i| {
-                                            (self.doc.name(c).to_string(), i.to_string())
-                                        })
-                                    })
-                                    .collect();
-                                for (ktag, kid) in kids {
-                                    if out.child_by_name_id(e, &ktag, &kid).is_none() {
-                                        let stub = out.create_element(ktag);
-                                        out.set_attr(stub, "id", kid);
-                                        out.set_attr(
-                                            stub,
-                                            STATUS_ATTR,
-                                            Status::Incomplete.as_str(),
-                                        );
-                                        out.append_child(e, stub);
-                                    }
-                                }
-                            }
-                            e
-                        }
-                        None => {
-                            let mut tmp = Document::new();
-                            let li = copy_local_id_information(
-                                &self.doc,
-                                db_node,
-                                &self.service.schema,
-                                &mut tmp,
-                            );
-                            tmp.set_attr(li, STATUS_ATTR, Status::IdComplete.as_str());
-                            for c in tmp.child_elements(li).collect::<Vec<_>>() {
-                                tmp.set_attr(c, STATUS_ATTR, Status::Incomplete.as_str());
-                            }
-                            let copied = tmp.deep_copy_into(li, &mut out);
-                            match out_cursor {
-                                None => out.set_root(copied)?,
-                                Some(parent) => {
-                                    if let Some(stub) = out.child_by_name_id(parent, tag, id) {
-                                        out.detach(stub);
-                                    }
-                                    out.append_child(parent, copied);
-                                }
-                            }
-                            copied
-                        }
-                    };
-                    out_cursor = Some(anc);
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Coalesces a set of matched node paths upward: whenever *all* stored
     /// IDable children of a parent whose local information is present
     /// (status ≥ `complete`) are in the set, the children are replaced by
@@ -775,42 +670,54 @@ impl SiteDatabase {
     /// matching every parking space of a block ships the block subtree,
     /// which the receiver caches as a `complete` block.
     pub fn coalesce_covering_paths(&self, paths: &[IdPath]) -> Vec<IdPath> {
-        use std::collections::{HashMap, HashSet};
-        let mut set: HashSet<IdPath> = paths.iter().cloned().collect();
+        use std::cmp::Reverse;
+        use std::collections::{BTreeMap, HashMap};
+        // Each path is resolved once; from there the set is over `NodeId`s.
+        // A member is remembered as a prefix of one of the input paths
+        // (`paths[i].segments()[..len]`), so only survivors are cloned.
+        let mut set: HashMap<NodeId, (usize, usize)> = HashMap::with_capacity(paths.len());
+        let mut out: Vec<IdPath> = Vec::new();
+        for (i, p) in paths.iter().enumerate() {
+            match p.resolve(&self.doc) {
+                Some(n) => {
+                    set.insert(n, (i, p.len()));
+                }
+                // Not stored here: nothing to coalesce it with.
+                None => out.push(p.clone()),
+            }
+        }
         loop {
-            let mut by_parent: HashMap<IdPath, Vec<IdPath>> = HashMap::new();
-            for p in &set {
-                if let Some(parent) = p.parent() {
-                    if !parent.is_empty() {
-                        by_parent.entry(parent).or_default().push(p.clone());
-                    }
+            // Grouped by parent, deepest parents first: with a chain of
+            // members (a node, its child, its grandchild) the grandchild
+            // is dropped under the child before the child is dropped
+            // under the node, whatever the arena order.
+            let mut by_parent: BTreeMap<(Reverse<usize>, NodeId), Vec<NodeId>> = BTreeMap::new();
+            for (&n, &(_, len)) in &set {
+                if let Some(parent) = self.doc.parent(n) {
+                    by_parent.entry((Reverse(len), parent)).or_default().push(n);
                 }
             }
             let mut changed = false;
-            for (parent, kids) in by_parent {
-                if set.contains(&parent) {
-                    // Parent already in: drop the children.
+            for ((_, parent), kids) in by_parent {
+                let covered = set.contains_key(&parent) || {
+                    // All stored IDable children of a parent whose local
+                    // information is present: the parent stands for them.
+                    let has_info =
+                        self.status_of(parent).is_some_and(Status::has_local_info);
+                    has_info
+                        && kids.len()
+                            == self
+                                .doc
+                                .child_elements(parent)
+                                .filter(|&c| self.service.schema.is_idable(self.doc.name(c)))
+                                .count()
+                };
+                if covered {
+                    let (i, len) = set[&kids[0]];
                     for k in &kids {
                         set.remove(k);
                     }
-                    changed = true;
-                    continue;
-                }
-                let Some(pnode) = parent.resolve(&self.doc) else { continue };
-                let Some(pstatus) = self.status_of(pnode) else { continue };
-                if !pstatus.has_local_info() {
-                    continue;
-                }
-                let stored: usize = self
-                    .doc
-                    .child_elements(pnode)
-                    .filter(|&c| self.service.schema.is_idable(self.doc.name(c)))
-                    .count();
-                if stored > 0 && kids.len() == stored {
-                    for k in &kids {
-                        set.remove(k);
-                    }
-                    set.insert(parent);
+                    set.entry(parent).or_insert((i, len - 1));
                     changed = true;
                 }
             }
@@ -818,89 +725,12 @@ impl SiteDatabase {
                 break;
             }
         }
-        let mut out: Vec<IdPath> = set.into_iter().collect();
+        out.extend(set.into_values().map(|(i, len)| {
+            IdPath::from_pairs(paths[i].segments()[..len].iter().cloned())
+        }));
         out.sort();
+        out.dedup();
         out
-    }
-
-    /// Builds a wire fragment carrying only the *local information* of the
-    /// node at `path` (plus ancestor ID chains): the smallest C1/C2 unit
-    /// proving which IDable children exist. Used as negative evidence when
-    /// a subquery matches nothing — the requester learns that a cached
-    /// child was deleted.
-    pub fn export_local_info(&self, path: &IdPath) -> CoreResult<Document> {
-        let node = path
-            .resolve(&self.doc)
-            .ok_or_else(|| CoreError::Protocol(format!("export: no node at {path}")))?;
-        let mut out = Document::new();
-        let mut cursor: Option<NodeId> = None;
-        for (i, (tag, id)) in path.segments().iter().enumerate() {
-            let sub = IdPath::from_pairs(
-                path.segments()[..=i]
-                    .iter()
-                    .map(|(t, v)| (t.clone(), v.clone())),
-            );
-            let db_node = sub.resolve(&self.doc).expect("prefix resolves");
-            let is_target = i + 1 == path.len();
-            let copied = if is_target {
-                let li = crate::idable::copy_local_information(
-                    &self.doc,
-                    node,
-                    &self.service.schema,
-                    &mut out,
-                );
-                // The claimed status must reflect what we store.
-                let st = self.status_of(node).unwrap_or(Status::Incomplete);
-                out.set_attr(li, STATUS_ATTR, st.min(Status::Complete).as_str());
-                for c in out.child_elements(li).collect::<Vec<_>>() {
-                    if self.service.schema.is_idable(out.name(c)) {
-                        out.set_attr(c, STATUS_ATTR, Status::Incomplete.as_str());
-                    }
-                }
-                li
-            } else {
-                let mut tmp = Document::new();
-                let li = copy_local_id_information(
-                    &self.doc,
-                    db_node,
-                    &self.service.schema,
-                    &mut tmp,
-                );
-                tmp.set_attr(li, STATUS_ATTR, Status::IdComplete.as_str());
-                for c in tmp.child_elements(li).collect::<Vec<_>>() {
-                    tmp.set_attr(c, STATUS_ATTR, Status::Incomplete.as_str());
-                }
-                tmp.deep_copy_into(li, &mut out)
-            };
-            match cursor {
-                None => out.set_root(copied)?,
-                Some(parent) => {
-                    if let Some(stub) = out.child_by_name_id(parent, tag, id) {
-                        out.detach(stub);
-                    }
-                    out.append_child(parent, copied);
-                }
-            }
-            cursor = Some(copied);
-        }
-        Ok(out)
-    }
-
-    /// Deep copy of a stored node into `dst` with `owned` clamped to
-    /// `complete`.
-    fn export_subtree_node(&self, node: NodeId, dst: &mut Document) -> NodeId {
-        let copied = self.doc.deep_copy_into(node, dst);
-        fn clamp(doc: &mut Document, n: NodeId) {
-            if doc.attr(n, STATUS_ATTR) == Some(Status::Owned.as_str()) {
-                doc.set_attr(n, STATUS_ATTR, Status::Complete.as_str());
-            }
-            let kids: Vec<NodeId> = doc.child_elements(n).collect();
-            for k in kids {
-                clamp(doc, k);
-            }
-        }
-        clamp(dst, copied);
-        copied
     }
 
     // ------------------------------------------------------------------

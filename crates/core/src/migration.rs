@@ -39,12 +39,10 @@ impl OrganizingAgent {
             if db.status_at(&path) != Some(Status::Owned) {
                 return; // not ours (possibly already delegated)
             }
-            let Ok(frag) = db.export_subtrees(std::slice::from_ref(&path)) else {
+            let Ok(export) = db.plan_export(std::slice::from_ref(&path)) else {
                 return;
             };
-            frag.root()
-                .map(|r| sensorxml::serialize(&frag, r))
-                .unwrap_or_default()
+            export.xml()
         };
         self.record_migration(SpanKind::MigrateOut, &path, to.0, now);
         self.hold_set().insert(path.clone());

@@ -37,7 +37,7 @@ pub fn parse(input: &str) -> XmlResult<Document> {
 /// Parses `input` with explicit [`ParseOptions`].
 pub fn parse_with_options(input: &str, options: ParseOptions) -> XmlResult<Document> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        input,
         pos: 0,
         doc: Document::new(),
         options,
@@ -46,8 +46,17 @@ pub fn parse_with_options(input: &str, options: ParseOptions) -> XmlResult<Docum
     Ok(p.doc)
 }
 
+/// The bytes a name may consist of: ASCII alphanumerics, `_ - . :`, and
+/// anything non-ASCII (multi-byte names are kept verbatim).
+pub const fn is_name_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') || b >= 0x80
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// Every scan stops on an ASCII delimiter, so `pos` is always a
+    /// character boundary of `input` and slices of it need no UTF-8
+    /// re-validation.
+    input: &'a str,
     pos: usize,
     doc: Document,
     options: ParseOptions,
@@ -59,11 +68,11 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
+        self.input.as_bytes()[self.pos..].starts_with(s.as_bytes())
     }
 
     fn bump(&mut self, n: usize) {
@@ -95,7 +104,7 @@ impl<'a> Parser<'a> {
             .set_root(root)
             .expect("first element cannot clash with a root");
         self.skip_misc()?;
-        if self.pos < self.bytes.len() {
+        if self.pos < self.input.len() {
             return self.err("content after document root");
         }
         Ok(())
@@ -118,7 +127,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_until(&mut self, end: &str) -> XmlResult<()> {
-        match find_sub(&self.bytes[self.pos..], end.as_bytes()) {
+        match find_sub(&self.input.as_bytes()[self.pos..], end.as_bytes()) {
             Some(off) => {
                 self.pos += off + end.len();
                 Ok(())
@@ -130,7 +139,7 @@ impl<'a> Parser<'a> {
     fn parse_element(&mut self) -> XmlResult<NodeId> {
         self.expect("<")?;
         let name = self.parse_name()?;
-        let el = self.doc.create_element(name.clone());
+        let el = self.doc.create_element(name);
         loop {
             self.skip_ws();
             match self.peek() {
@@ -167,10 +176,9 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<![CDATA[") {
                 self.bump("<![CDATA[".len());
                 let start = self.pos;
-                match find_sub(&self.bytes[self.pos..], b"]]>") {
+                match find_sub(&self.input.as_bytes()[self.pos..], b"]]>") {
                     Some(off) => {
-                        let text = std::str::from_utf8(&self.bytes[start..start + off])
-                            .map_err(|_| XmlError::parse(start, "invalid UTF-8 in CDATA"))?;
+                        let text = &self.input[start..start + off];
                         let t = self.doc.create_text(text.to_string());
                         self.doc.append_child(el, t);
                         self.pos = start + off + 3;
@@ -196,27 +204,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_name(&mut self) -> XmlResult<String> {
+    fn parse_name(&mut self) -> XmlResult<&'a str> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            let ok = b.is_ascii_alphanumeric()
-                || matches!(b, b'_' | b'-' | b'.' | b':')
-                || b >= 0x80;
-            if ok {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while self.peek().is_some_and(is_name_byte) {
+            self.pos += 1;
         }
         if self.pos == start {
             return self.err("expected a name");
         }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| XmlError::parse(start, "invalid UTF-8 in name"))?
-            .to_string())
+        Ok(&self.input[start..self.pos])
     }
 
-    fn parse_attribute(&mut self) -> XmlResult<(String, String)> {
+    fn parse_attribute(&mut self) -> XmlResult<(&'a str, String)> {
         let name = self.parse_name()?;
         self.skip_ws();
         self.expect("=")?;
@@ -228,15 +227,12 @@ impl<'a> Parser<'a> {
         self.bump(1);
         let mut value = String::new();
         loop {
+            self.push_run(&mut value, |b| b == quote || b == b'&');
             match self.peek() {
-                Some(q) if q == quote => {
-                    self.bump(1);
-                    break;
-                }
-                Some(b'&') => value.push_str(&self.parse_entity()?),
+                Some(b'&') => self.parse_entity(&mut value)?,
                 Some(_) => {
-                    let ch = self.next_char()?;
-                    value.push(ch);
+                    self.bump(1); // the closing quote
+                    break;
                 }
                 None => return self.err("unterminated attribute value"),
             }
@@ -247,59 +243,58 @@ impl<'a> Parser<'a> {
     fn parse_text(&mut self) -> XmlResult<String> {
         let mut text = String::new();
         loop {
+            self.push_run(&mut text, |b| b == b'<' || b == b'&');
             match self.peek() {
-                Some(b'<') | None => break,
-                Some(b'&') => text.push_str(&self.parse_entity()?),
-                Some(_) => {
-                    let ch = self.next_char()?;
-                    text.push(ch);
-                }
+                Some(b'&') => self.parse_entity(&mut text)?,
+                _ => break,
             }
         }
         Ok(text)
     }
 
-    fn next_char(&mut self) -> XmlResult<char> {
-        let s = std::str::from_utf8(&self.bytes[self.pos..])
-            .map_err(|_| XmlError::parse(self.pos, "invalid UTF-8"))?;
-        let ch = s.chars().next().ok_or_else(|| {
-            XmlError::parse(self.pos, "unexpected end of input")
-        })?;
-        self.pos += ch.len_utf8();
-        Ok(ch)
+    /// Appends the input up to the next byte satisfying `stop` (or the end
+    /// of input) to `out` as one slice, and leaves `pos` there. The stop
+    /// bytes are ASCII, so the run ends on a character boundary.
+    fn push_run(&mut self, out: &mut String, stop: impl Fn(u8) -> bool) {
+        let rest = &self.input.as_bytes()[self.pos..];
+        let len = rest.iter().position(|&b| stop(b)).unwrap_or(rest.len());
+        out.push_str(&self.input[self.pos..self.pos + len]);
+        self.pos += len;
     }
 
-    fn parse_entity(&mut self) -> XmlResult<String> {
+    /// Decodes one entity or character reference at `pos` into `out`.
+    fn parse_entity(&mut self, out: &mut String) -> XmlResult<()> {
         self.expect("&")?;
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b == b';' {
-                let ent = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| XmlError::parse(start, "invalid UTF-8 in entity"))?;
+                let ent = &self.input[start..self.pos];
                 self.bump(1);
-                return match ent {
-                    "lt" => Ok("<".to_string()),
-                    "gt" => Ok(">".to_string()),
-                    "amp" => Ok("&".to_string()),
-                    "apos" => Ok("'".to_string()),
-                    "quot" => Ok("\"".to_string()),
+                let ch = match ent {
+                    "lt" => '<',
+                    "gt" => '>',
+                    "amp" => '&',
+                    "apos" => '\'',
+                    "quot" => '"',
                     _ if ent.starts_with("#x") || ent.starts_with("#X") => {
                         let code = u32::from_str_radix(&ent[2..], 16)
                             .map_err(|_| XmlError::parse(start, "bad hex character reference"))?;
                         char::from_u32(code)
-                            .map(|c| c.to_string())
-                            .ok_or_else(|| XmlError::parse(start, "invalid character reference"))
+                            .ok_or_else(|| XmlError::parse(start, "invalid character reference"))?
                     }
                     _ if ent.starts_with('#') => {
                         let code = ent[1..]
                             .parse::<u32>()
                             .map_err(|_| XmlError::parse(start, "bad character reference"))?;
                         char::from_u32(code)
-                            .map(|c| c.to_string())
-                            .ok_or_else(|| XmlError::parse(start, "invalid character reference"))
+                            .ok_or_else(|| XmlError::parse(start, "invalid character reference"))?
                     }
-                    _ => Err(XmlError::parse(start, format!("unknown entity `&{ent};`"))),
+                    _ => {
+                        return Err(XmlError::parse(start, format!("unknown entity `&{ent};`")))
+                    }
                 };
+                out.push(ch);
+                return Ok(());
             }
             self.pos += 1;
             if self.pos - start > 12 {
@@ -429,6 +424,46 @@ mod tests {
     fn empty_input_is_an_error() {
         assert!(parse("").is_err());
         assert!(parse("   \n ").is_err());
+    }
+
+    /// Regression guard for the per-character `from_utf8(&bytes[pos..])`
+    /// the scanner used to run (quadratic: hours on this input). No timing
+    /// assertion — a linear parser finishes in milliseconds, a quadratic
+    /// one never finishes the suite.
+    #[test]
+    fn huge_text_and_attribute_parse_and_roundtrip() {
+        let big = "x".repeat(2 << 20);
+        let xml = format!("<a v=\"{big}\">{big}</a>");
+        let doc = parse(&xml).unwrap();
+        let root = doc.root().unwrap();
+        assert_eq!(doc.attr(root, "v").map(str::len), Some(big.len()));
+        assert_eq!(doc.text_content(root).len(), big.len());
+        assert_eq!(crate::serialize(&doc, root), xml);
+    }
+
+    #[test]
+    fn multibyte_and_entities_at_scan_boundaries() {
+        // Multi-byte characters and entities directly before/after every
+        // delimiter the slice scanner stops on: quote, `&`, `<`, end tag.
+        let doc = parse(
+            "<a v=\"é&amp;日\" w='\"&quot;é' x=\"&lt;\" y=\"日\">é&lt;日<b/>&#x42;é&amp;</a>",
+        )
+        .unwrap();
+        let root = doc.root().unwrap();
+        assert_eq!(doc.attr(root, "v"), Some("é&日"));
+        assert_eq!(doc.attr(root, "w"), Some("\"\"é"));
+        assert_eq!(doc.attr(root, "x"), Some("<"));
+        assert_eq!(doc.attr(root, "y"), Some("日"));
+        assert_eq!(doc.text_content(root), "é<日Bé&");
+        let again = parse(&crate::serialize(&doc, root)).unwrap();
+        assert_eq!(crate::canonical_string(&again, again.root().unwrap()),
+            crate::canonical_string(&doc, root));
+        // Error offsets still point at the offending construct.
+        match parse("<a>é&nope;</a>").unwrap_err() {
+            XmlError::Parse { offset, .. } => assert_eq!(offset, "<a>é&".len()),
+            e => panic!("unexpected error {e}"),
+        }
+        assert!(parse("<a v=\"é").unwrap_err().to_string().contains("unterminated attribute"));
     }
 
     #[test]

@@ -1,22 +1,47 @@
 //! Serialization of [`Document`]s (and subtrees) back to XML text.
 
-use crate::node::{Document, NodeId, NodeKind};
+use crate::node::{Attr, Document, NodeId, NodeKind};
+
+/// The identity `attr_value` of [`serialize_mapped`].
+pub fn own_value(a: &Attr) -> &str {
+    &a.value
+}
 
 /// Serializes the subtree rooted at `id` to compact single-line XML.
 pub fn serialize(doc: &Document, id: NodeId) -> String {
     let mut out = String::new();
-    write_node(doc, id, &mut out, None, 0);
+    write_node(doc, id, &mut out, None, 0, &own_value);
     out
 }
 
 /// Serializes the subtree rooted at `id` with `indent`-space indentation.
 pub fn serialize_pretty(doc: &Document, id: NodeId, indent: usize) -> String {
     let mut out = String::new();
-    write_node(doc, id, &mut out, Some(indent), 0);
+    write_node(doc, id, &mut out, Some(indent), 0, &own_value);
     out
 }
 
-fn write_node(doc: &Document, id: NodeId, out: &mut String, indent: Option<usize>, depth: usize) {
+/// Appends the compact serialization of the subtree rooted at `id` to
+/// `out`, writing `attr_value(a)` in place of each attribute's own value —
+/// so a caller that ships a stored subtree with a few values rewritten
+/// needs no scratch copy of it.
+pub fn serialize_mapped(
+    doc: &Document,
+    id: NodeId,
+    out: &mut String,
+    attr_value: &impl Fn(&Attr) -> &str,
+) {
+    write_node(doc, id, out, None, 0, attr_value);
+}
+
+fn write_node(
+    doc: &Document,
+    id: NodeId,
+    out: &mut String,
+    indent: Option<usize>,
+    depth: usize,
+    attr_value: &impl Fn(&Attr) -> &str,
+) {
     match doc.kind(id) {
         NodeKind::Text(t) => {
             pad(out, indent, depth);
@@ -28,11 +53,7 @@ fn write_node(doc: &Document, id: NodeId, out: &mut String, indent: Option<usize
             out.push('<');
             out.push_str(&el.name);
             for a in &el.attrs {
-                out.push(' ');
-                out.push_str(&a.name);
-                out.push_str("=\"");
-                push_escaped_attr(out, &a.value);
-                out.push('"');
+                push_attr(out, &a.name, attr_value(a));
             }
             if el.children.is_empty() {
                 out.push_str("/>");
@@ -48,7 +69,7 @@ fn write_node(doc: &Document, id: NodeId, out: &mut String, indent: Option<usize
                 } else {
                     newline(out, indent);
                     for &c in &el.children {
-                        write_node(doc, c, out, indent, depth + 1);
+                        write_node(doc, c, out, indent, depth + 1, attr_value);
                     }
                     pad(out, indent, depth);
                 }
@@ -75,28 +96,48 @@ fn newline(out: &mut String, indent: Option<usize>) {
     }
 }
 
+/// Appends ` name="value"` with the value escaped.
+pub fn push_attr(out: &mut String, name: &str, value: &str) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    push_escaped_attr(out, value);
+    out.push('"');
+}
+
 /// Escapes `<`, `>`, `&` in text content.
 pub fn push_escaped_text(out: &mut String, text: &str) {
-    for ch in text.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(ch),
-        }
-    }
+    push_escaped(out, text, |b| match b {
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'&' => Some("&amp;"),
+        _ => None,
+    });
 }
 
 /// Escapes `<`, `&`, `"` in attribute values.
 pub fn push_escaped_attr(out: &mut String, text: &str) {
-    for ch in text.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(ch),
+    push_escaped(out, text, |b| match b {
+        b'<' => Some("&lt;"),
+        b'&' => Some("&amp;"),
+        b'"' => Some("&quot;"),
+        _ => None,
+    });
+}
+
+/// Appends `text` with every byte `entity` names replaced by its entity;
+/// the runs between them are pushed as whole slices (the escaped bytes are
+/// ASCII, so every cut is a character boundary).
+fn push_escaped(out: &mut String, text: &str, entity: impl Fn(u8) -> Option<&'static str>) {
+    let mut from = 0;
+    for (i, &b) in text.as_bytes().iter().enumerate() {
+        if let Some(e) = entity(b) {
+            out.push_str(&text[from..i]);
+            out.push_str(e);
+            from = i + 1;
         }
     }
+    out.push_str(&text[from..]);
 }
 
 #[cfg(test)]

@@ -22,9 +22,19 @@
 //! count + `(tag, id)` string pairs; vectors as `u32` count + elements.
 //! The golden-bytes test in `tests/wire_prop.rs` pins this layout — any
 //! change is a protocol version bump, not a silent re-encode.
+//!
+//! The fragment text of `SubAnswer` / `TakeOwnership` has two encodings,
+//! chosen per frame from the text itself: the dictionary-packed event
+//! stream of [`packed`] (tags 13 / 14) when the text is in the packer's
+//! grammar and packs strictly shorter, the raw string (tags 4 / 7)
+//! otherwise. Both decode to the identical `Message`.
+
+mod packed;
 
 use irisdns::SiteAddr;
 use irisnet_core::{Endpoint, IdPath, Message};
+
+pub use packed::{PACKED_MAX_DEPTH, PACKED_MAX_EXPANSION};
 
 /// Wire protocol version; the first byte of every frame.
 pub const WIRE_VERSION: u8 = 1;
@@ -49,6 +59,10 @@ mod tag {
     // `UnknownTag` rather than misreading it, so no version bump.
     pub const TELEMETRY_REQUEST: u8 = 11;
     pub const TELEMETRY_REPLY: u8 = 12;
+    // Tags 13/14 carry the same messages as 4/7 with the fragment text
+    // dictionary-packed (see `packed`); appended under the same rule.
+    pub const SUB_ANSWER_PACKED: u8 = 13;
+    pub const TAKE_OWNERSHIP_PACKED: u8 = 14;
 }
 
 /// Decode failures. Every variant names what the peer got wrong, so a
@@ -65,6 +79,9 @@ pub enum WireError {
     TrailingBytes(usize),
     /// A string field was not valid UTF-8.
     BadUtf8,
+    /// A packed fragment field (tags 13 / 14) is structurally invalid; the
+    /// payload names what was wrong.
+    BadPackedFragment(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -75,6 +92,7 @@ impl std::fmt::Display for WireError {
             WireError::UnknownTag(t) => write!(f, "unknown payload tag {t}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after payload"),
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
+            WireError::BadPackedFragment(what) => write!(f, "bad packed fragment: {what}"),
         }
     }
 }
@@ -111,9 +129,31 @@ fn put_path(buf: &mut Vec<u8>, p: &IdPath) {
     }
 }
 
+/// Writes fragment text as the last field of a payload: packed when the
+/// text is in the packer's grammar, packs strictly shorter than the text
+/// and stays inside the decoder's expansion bound; raw otherwise, with the
+/// payload tag rewritten to `raw_tag`. (The empty fragment — "no data" —
+/// cannot get shorter, so it is not even tried.)
+fn put_fragment(buf: &mut Vec<u8>, raw_tag: u8, xml: &str) {
+    let start = buf.len();
+    let packed = !xml.is_empty() && packed::pack(xml, buf) && {
+        let len = buf.len() - start;
+        len < xml.len() && xml.len() <= len * PACKED_MAX_EXPANSION
+    };
+    if !packed {
+        buf.truncate(start);
+        buf[FRAME_HEADER_LEN] = raw_tag;
+        put_str(buf, xml);
+    }
+}
+
 /// Encodes one message into a complete frame (header + payload).
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
+    // The header is written first and its length patched at the end, so
+    // the payload is built in place.
     let mut p = Vec::with_capacity(64);
+    p.push(WIRE_VERSION);
+    put_u32(&mut p, 0);
     match msg {
         Message::UserQuery { qid, text, endpoint } => {
             p.push(tag::USER_QUERY);
@@ -137,10 +177,10 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
             }
         }
         Message::SubAnswer { qid, fragment_xml, partial } => {
-            p.push(tag::SUB_ANSWER);
+            p.push(tag::SUB_ANSWER_PACKED);
             put_u64(&mut p, *qid);
             put_bool(&mut p, *partial);
-            put_str(&mut p, fragment_xml);
+            put_fragment(&mut p, tag::SUB_ANSWER, fragment_xml);
         }
         Message::Update { path, fields } => {
             p.push(tag::UPDATE);
@@ -157,10 +197,10 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
             put_u32(&mut p, to.0);
         }
         Message::TakeOwnership { path, fragment_xml, from } => {
-            p.push(tag::TAKE_OWNERSHIP);
+            p.push(tag::TAKE_OWNERSHIP_PACKED);
             put_path(&mut p, path);
             put_u32(&mut p, from.0);
-            put_str(&mut p, fragment_xml);
+            put_fragment(&mut p, tag::TAKE_OWNERSHIP, fragment_xml);
         }
         Message::TakeAck { path, new_owner } => {
             p.push(tag::TAKE_ACK);
@@ -190,11 +230,9 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
             put_str(&mut p, payload);
         }
     }
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + p.len());
-    frame.push(WIRE_VERSION);
-    put_u32(&mut frame, p.len() as u32);
-    frame.extend_from_slice(&p);
-    frame
+    let len = (p.len() - FRAME_HEADER_LEN) as u32;
+    p[1..FRAME_HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    p
 }
 
 // ---------------------------------------------------------------------
@@ -254,6 +292,13 @@ impl<'a> Reader<'a> {
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
+
+    /// A packed fragment field: everything left in the payload.
+    fn packed_fragment(&mut self) -> Result<String, WireError> {
+        let field = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        packed::unpack(field)
+    }
 }
 
 /// Decodes one payload (everything after the frame header).
@@ -283,10 +328,11 @@ fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
             }
             Message::SubQueryBatch { entries, reply_to }
         }
-        tag::SUB_ANSWER => {
+        t @ (tag::SUB_ANSWER | tag::SUB_ANSWER_PACKED) => {
             let qid = r.u64()?;
             let partial = r.boolean()?;
-            let fragment_xml = r.string()?;
+            let fragment_xml =
+                if t == tag::SUB_ANSWER { r.string()? } else { r.packed_fragment()? };
             Message::SubAnswer { qid, fragment_xml, partial }
         }
         tag::UPDATE => {
@@ -305,10 +351,11 @@ fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
             let to = SiteAddr(r.u32()?);
             Message::Delegate { path, to }
         }
-        tag::TAKE_OWNERSHIP => {
+        t @ (tag::TAKE_OWNERSHIP | tag::TAKE_OWNERSHIP_PACKED) => {
             let path = r.path()?;
             let from = SiteAddr(r.u32()?);
-            let fragment_xml = r.string()?;
+            let fragment_xml =
+                if t == tag::TAKE_OWNERSHIP { r.string()? } else { r.packed_fragment()? };
             Message::TakeOwnership { path, fragment_xml, from }
         }
         tag::TAKE_ACK => {
@@ -406,6 +453,45 @@ mod tests {
         for m in msgs {
             let frame = encode_frame(&m);
             assert_eq!(decode_frame(&frame).unwrap(), m, "roundtrip failed");
+        }
+    }
+
+    /// Serializer-shaped text of any size packs (tag 13) and comes back
+    /// byte-exact; text outside the grammar ships raw (tag 4) and does too.
+    #[test]
+    fn fragment_text_roundtrips_packed_or_raw() {
+        let stub = |i: usize| format!("<parkingSpace id=\"{i}\" status=\"incomplete\"/>");
+        let space = |i: usize| {
+            format!(
+                "<parkingSpace id=\"{i}\" status=\"complete\" timestamp=\"0\">\
+                 <available>yes</available><price>a &amp; b</price></parkingSpace>"
+            )
+        };
+        let body: String = (0..20).map(space).chain((20..39).map(stub)).collect();
+        let cases = [
+            (format!("<block id=\"1\" status=\"id-complete\">{body}</block>"), true),
+            ("<a x=\"\"></a>".repeat(8), true),
+            (format!("<a  id=\"1\">{body}</a>"), false), // doubled space
+            (format!("<a id='1'>{body}</a>"), false),
+            (format!("<a>{body}</a >"), false),
+            (format!("<a><!-- c -->{body}</a>"), false),
+            (format!("<a><![CDATA[x]]>{body}</a>"), false),
+            (format!("<?xml version=\"1.0\"?><a>{body}</a>"), false),
+            (format!("<a>{body}</b>"), false),
+            (format!("<a>{body}"), false),
+            (format!("{body}</a>"), false),
+            ("<x/>".to_string(), false), // not strictly shorter
+            (String::new(), false),
+        ];
+        for (fragment_xml, packs) in cases {
+            let m = Message::SubAnswer { qid: 7, fragment_xml: fragment_xml.clone(), partial: false };
+            let frame = encode_frame(&m);
+            let expect = if packs { tag::SUB_ANSWER_PACKED } else { tag::SUB_ANSWER };
+            assert_eq!(frame[FRAME_HEADER_LEN], expect, "{fragment_xml}");
+            if packs {
+                assert!(frame.len() < fragment_xml.len(), "{fragment_xml}");
+            }
+            assert_eq!(decode_frame(&frame).unwrap(), m, "{fragment_xml}");
         }
     }
 
