@@ -1,6 +1,7 @@
 //! IDable nodes, ID paths, and local information (Definitions 3.1 / 3.2).
 
 use std::fmt;
+use std::sync::Arc;
 
 use sensorxml::{Document, NodeId};
 
@@ -9,9 +10,16 @@ use crate::service::Schema;
 /// A root-to-node sequence of `(element name, id)` pairs — the globally
 /// addressable identity of an IDable node ("each IDable node can be
 /// uniquely identified by the sequence of IDs on the path from the root").
+///
+/// The segments are immutable and shared: `clone` is a reference-count
+/// bump, which matters because one path is copied into every reading,
+/// WAL record and in-flight message about that node. Every derived path
+/// (`child`, `parent`, ...) builds its own segment list. Comparison,
+/// hashing and `Debug` see only the segment slice, exactly as with an
+/// owned `Vec`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct IdPath {
-    segments: Vec<(String, String)>,
+    segments: Arc<[(String, String)]>,
 }
 
 impl IdPath {
@@ -49,9 +57,10 @@ impl IdPath {
 
     /// Appends a segment, returning the extended path.
     pub fn child(&self, tag: impl Into<String>, id: impl Into<String>) -> IdPath {
-        let mut p = self.clone();
-        p.segments.push((tag.into(), id.into()));
-        p
+        let last = (tag.into(), id.into());
+        IdPath {
+            segments: self.segments.iter().cloned().chain(std::iter::once(last)).collect(),
+        }
     }
 
     /// The parent path (`None` for the empty path).
@@ -60,7 +69,7 @@ impl IdPath {
             None
         } else {
             Some(IdPath {
-                segments: self.segments[..self.segments.len() - 1].to_vec(),
+                segments: self.segments[..self.segments.len() - 1].into(),
             })
         }
     }
@@ -81,7 +90,7 @@ impl IdPath {
     pub fn to_xpath(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
-        for (tag, id) in &self.segments {
+        for (tag, id) in self.segments.iter() {
             let _ = write!(s, "/{tag}[@id='{id}']");
         }
         if s.is_empty() {
@@ -135,7 +144,7 @@ impl IdPath {
             cur = doc.parent(n);
         }
         rev.reverse();
-        Some(IdPath { segments: rev })
+        Some(IdPath { segments: rev.into() })
     }
 }
 
@@ -144,7 +153,7 @@ impl fmt::Display for IdPath {
         if self.segments.is_empty() {
             return write!(f, "/");
         }
-        for (tag, id) in &self.segments {
+        for (tag, id) in self.segments.iter() {
             write!(f, "/{tag}={id}")?;
         }
         Ok(())
@@ -236,6 +245,8 @@ fn id_stub(src: &Document, node: NodeId, dst: &mut Document) -> NodeId {
 mod tests {
     use super::*;
     use crate::service::Schema;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use sensorxml::parse;
 
     fn doc() -> Document {
@@ -268,6 +279,51 @@ mod tests {
         let c = p.child("c", "3");
         assert_eq!(c.len(), 3);
         assert!(p.is_prefix_of(&c));
+    }
+
+    fn segment() -> impl Strategy<Value = (String, String)> {
+        ("[a-c]{1,2}", "[0-2]{0,2}")
+    }
+
+    fn hash_of<T: std::hash::Hash + ?Sized>(v: &T) -> u64 {
+        use std::hash::{DefaultHasher, Hasher};
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Shared segments are unobservable: a path compares, hashes and
+        /// derives exactly like the plain segment list it stands for, and
+        /// deriving from a clone never reaches back into the original.
+        #[test]
+        fn shared_segments_behave_like_an_owned_list(
+            a in vec(segment(), 0..5),
+            b in vec(segment(), 0..5),
+            last in segment(),
+        ) {
+            let (tag, id) = last;
+            let (p, q) = (IdPath::from_pairs(a.clone()), IdPath::from_pairs(b.clone()));
+            prop_assert_eq!(p.cmp(&q), a.cmp(&b));
+            prop_assert_eq!(p == q, a == b);
+            prop_assert_eq!(hash_of(&p), hash_of(&a));
+            prop_assert_eq!(format!("{p:?}"), format!("IdPath {{ segments: {a:?} }}"));
+
+            let child = p.child(tag.clone(), id.clone());
+            prop_assert_eq!(child.parent(), Some(p.clone()));
+            prop_assert!(p.is_prefix_of(&child));
+            prop_assert_eq!(child.last(), Some((tag.as_str(), id.as_str())));
+
+            let shown = p.to_string();
+            let alias = p.clone();
+            let from_alias = alias.child(tag, id);
+            prop_assert_eq!(&from_alias, &child);
+            prop_assert_eq!(p.segments(), &a[..]);
+            prop_assert_eq!(p.to_string(), shown);
+            prop_assert_eq!(alias, p);
+        }
     }
 
     #[test]

@@ -463,7 +463,19 @@ impl Document {
 
     /// Replaces the children of `id` with a single text node (the way sensor
     /// updates overwrite a reading such as `<available>yes</available>`).
+    ///
+    /// When the only child already is a text node its string is overwritten
+    /// in place — no new slot, and the text node keeps its [`NodeId`] — so a
+    /// stream of readings does not grow the arena. Any other shape detaches
+    /// the old children (garbage until [`Document::compact`]) and appends a
+    /// fresh text node.
     pub fn set_text_content(&mut self, id: NodeId, text: impl Into<String>) {
+        if let &[only] = self.children(id) {
+            if let NodeKind::Text(t) = &mut self.node_mut(only).kind {
+                *t = text.into();
+                return;
+            }
+        }
         let old: Vec<NodeId> = self.children(id).to_vec();
         for c in old {
             self.detach(c);
@@ -870,6 +882,40 @@ mod tests {
         doc.set_text_content(n, "second");
         assert_eq!(doc.text_content(n), "second");
         assert_eq!(doc.children(n).len(), 1);
+    }
+
+    #[test]
+    fn set_text_content_overwrites_a_single_text_child_in_place() {
+        let (mut doc, _, _, b) = small_doc();
+        let avail = doc.create_element("available");
+        doc.append_child(b, avail);
+        doc.set_text_content(avail, "yes");
+        let text = doc.children(avail)[0];
+        let slots = doc.arena_len();
+        for i in 0..100 {
+            doc.set_text_content(avail, if i % 2 == 0 { "no" } else { "yes" });
+            assert_eq!(doc.arena_len(), slots, "overwrite {i} allocated a slot");
+            assert_eq!(doc.children(avail), &[text], "overwrite {i} moved the text node");
+        }
+        assert_eq!(doc.text(text), Some("yes"));
+        assert_eq!(doc.text_content(b), "yes");
+    }
+
+    #[test]
+    fn set_text_content_other_shapes_end_with_one_text_child() {
+        for (label, xml) in [
+            ("empty", "<r><e/></r>"),
+            ("element child", "<r><e><c/></e></r>"),
+            ("mixed content", "<r><e>before<c/></e></r>"),
+        ] {
+            let mut doc = crate::parse(xml).unwrap();
+            let e = doc.children(doc.root().unwrap())[0];
+            doc.set_text_content(e, "v");
+            let kids = doc.children(e);
+            assert_eq!(kids.len(), 1, "{label}");
+            assert_eq!(doc.text(kids[0]), Some("v"), "{label}");
+            assert_eq!(doc.reachable_count(), 3, "{label}: root, e, text");
+        }
     }
 
     #[test]

@@ -483,7 +483,13 @@ impl DesCluster {
         if self.recorder.is_some() {
             site.oa.note_queue_wait(queue_wait);
         }
-        let doc_nodes = site.oa.db().doc().arena_len();
+        // Stored nodes, not arena slots: detached garbage awaiting compaction
+        // is not scanned. Counting walks the tree, so only when priced.
+        let doc_nodes = if self.costs.doc_scan_cpu > 0.0 {
+            site.oa.db().doc().reachable_count()
+        } else {
+            0
+        };
         let t0 = Instant::now();
         let outs = site.oa.handle(msg.clone(), &mut self.dns, start);
         let measured = t0.elapsed().as_secs_f64();

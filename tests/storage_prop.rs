@@ -269,6 +269,32 @@ proptest! {
     }
 }
 
+/// A long stream of sensor readings on one owned space: the owner's arena
+/// must not grow (each reading overwrites its text node in place), and the
+/// site recovered from the WAL must snapshot byte-identically to the live
+/// one.
+#[test]
+fn update_stream_keeps_the_arena_flat_and_recovers_identically() {
+    let backend = Arc::new(MemoryBackend::new());
+    let (mut db, wal) = owned_db_with_wal(
+        backend.clone(),
+        DurabilityConfig { snapshot_every: 0, retain_segments: 0 },
+    );
+    let space = &paths()[0];
+    let slots = db.doc().arena_len();
+    for i in 0..1000u32 {
+        let v = if i % 3 == 0 { "no" } else { "yes" };
+        db.apply_update(space, &[("available".to_string(), v.to_string())], f64::from(i + 1))
+            .unwrap();
+    }
+    assert_eq!(db.doc().arena_len(), slots, "updates grew the owner's arena");
+    assert_eq!(wal.appends(), 1000);
+
+    let (recovered, stats) = recover(backend);
+    assert_eq!(stats.records_replayed, 1000);
+    assert_eq!(recovered.snapshot_xml(), db.snapshot_xml());
+}
+
 /// Golden bytes: the exact on-disk layout of one representative of every
 /// record variant plus both segment-header kinds, written out byte by
 /// byte. If any of these assertions break, the storage format changed —
