@@ -11,7 +11,8 @@
 //!
 //! Reported: per-query breakdown across creating the XSLT program,
 //! executing it, communication CPU (wire (de)serialization), and rest —
-//! on the **live cluster** (real threads, real engine, wall-clock time).
+//! on the **sharded runtime** at one shard per site (real threads, real
+//! engine, wall-clock time).
 //!
 //! Expected shape (paper): routing to the owner cuts total time by >50%;
 //! naive creation dominates the total (fast creation halves it); the 8×
@@ -22,22 +23,26 @@ use std::time::Duration;
 use irisdns::SiteAddr;
 use irisnet_bench::{DbParams, ParkingDb};
 use irisnet_core::{CacheMode, OaConfig, OrganizingAgent, XsltCreation};
-use simnet::LiveCluster;
+use simnet::{ShardConfig, ShardedCluster};
 
 struct Built {
-    cluster: LiveCluster,
+    cluster: ShardedCluster,
     county_site: SiteAddr,
     city_site: SiteAddr,
     nbhd_site: SiteAddr,
 }
 
-/// Hierarchical (Architecture 4) placement on the live cluster.
+/// Hierarchical (Architecture 4) placement, one shard event loop per site.
 fn build(db: &ParkingDb, creation: XsltCreation) -> Built {
     // Caching is disabled so that every query pays its true routing cost
     // (the paper's micro-benchmark measures the gathering path, not the
     // cache).
     let config = OaConfig { creation, cache: CacheMode::Off, ..OaConfig::default() };
-    let mut cluster = LiveCluster::new(db.service.clone());
+    let sites = 1 + db.params.cities * (1 + db.params.neighborhoods_per_city);
+    let mut cluster = ShardedCluster::with_config(
+        db.service.clone(),
+        ShardConfig { shards: sites, workers_per_shard: 0, force_wire: false },
+    );
 
     let top = OrganizingAgent::new(SiteAddr(1), db.service.clone(), config.clone());
     top.db_mut().bootstrap_owned(&db.master, &db.root_path(), false).unwrap();
@@ -77,6 +82,7 @@ fn build(db: &ParkingDb, creation: XsltCreation) -> Built {
             }
         }
     }
+    cluster.start();
     Built { cluster, county_site: SiteAddr(1), city_site, nbhd_site }
 }
 
@@ -90,7 +96,7 @@ struct Breakdown {
 
 fn measure(db: &ParkingDb, creation: XsltCreation, level: usize, n: u64) -> Breakdown {
     let built = build(db, creation);
-    let mut cluster = built.cluster;
+    let cluster = built.cluster;
     let target = [built.county_site, built.city_site, built.nbhd_site][level];
     let q = "/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']\
              /city[@id='Pittsburgh']/neighborhood[@id='n1']/block[@id='7']\
@@ -161,6 +167,6 @@ fn main() {
             );
         }
     }
-    println!("\n(live thread cluster, wall-clock; {n} queries per cell; exec includes");
+    println!("\n(sharded runtime, one shard per site, wall-clock; {n} queries per cell; exec includes");
     println!(" answer extraction; comm is wire XML (de)serialization CPU)");
 }

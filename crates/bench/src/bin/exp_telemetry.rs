@@ -3,10 +3,10 @@
 //!
 //! Three sections, one JSON object on stdout:
 //!
-//! * `off_qps` / `on_qps` — the BENCH_PR2 hot-site workload (8 client
-//!   threads × 8 queries, serial owner site) with no recorder vs the full
-//!   `TelemetryRecorder` (windows + flight recorder + health FSM, spans
-//!   not retained). Interleaved rounds, best-of like `obs_overhead`;
+//! * `off_qps` / `on_qps` — a hot-site workload (8 client threads × 8
+//!   queries, one owner site with inline reads) with no recorder vs the
+//!   full `TelemetryRecorder` (windows + flight recorder + health FSM,
+//!   spans not retained). Interleaved rounds, best-of;
 //!   `scripts/telemetry_smoke.sh` holds `telemetry_cost_pct` under its
 //!   budget (default 5 %).
 //! * `scrape` — per window depth (6 / 24 / 96 buckets): mean scrape
@@ -25,7 +25,7 @@ use irisdns::SiteAddr;
 use irisnet_bench::{DbParams, ParkingDb, QueryType, Workload};
 use irisnet_core::{CacheMode, OaConfig, OrganizingAgent, RetryPolicy, Status};
 use irisobs::{parse_payload, TelemetryConfig, TelemetryRecorder, WHAT_ALL};
-use simnet::{LiveClient, LiveCluster};
+use simnet::{ShardClient, ShardConfig, ShardedCluster};
 
 const CLIENTS: usize = 8;
 const QUERIES_PER_CLIENT: usize = 8;
@@ -55,11 +55,20 @@ fn mixes(db: &ParkingDb) -> Vec<Vec<String>> {
         .collect()
 }
 
+/// A cluster of `sites` shards, one per site, with reads inline on the
+/// shard loop.
+fn one_shard_per_site(db: &ParkingDb, sites: usize) -> ShardedCluster {
+    ShardedCluster::with_config(
+        db.service.clone(),
+        ShardConfig { shards: sites, workers_per_shard: 0, force_wire: false },
+    )
+}
+
 fn hot_site(
     db: &Arc<ParkingDb>,
     rec: Option<&Arc<TelemetryRecorder>>,
-) -> (LiveCluster, Vec<LiveClient>) {
-    let mut cluster = LiveCluster::new(db.service.clone());
+) -> (ShardedCluster, Vec<ShardClient>) {
+    let mut cluster = one_shard_per_site(db, 1);
     if let Some(r) = rec {
         cluster.set_recorder(r.clone());
     }
@@ -67,11 +76,12 @@ fn hot_site(
     oa.db_mut().bootstrap_owned(&db.master, &db.root_path(), true).unwrap();
     cluster.register_owner(&db.root_path(), SiteAddr(1));
     cluster.add_site(oa);
+    cluster.start();
     let clients = (0..CLIENTS).map(|_| cluster.client()).collect();
     (cluster, clients)
 }
 
-fn pass(clients: &[LiveClient], mixes: &[Vec<String>]) {
+fn pass(clients: &[ShardClient], mixes: &[Vec<String>]) {
     std::thread::scope(|s| {
         for (cl, mix) in clients.iter().zip(mixes) {
             s.spawn(move || {
@@ -86,7 +96,7 @@ fn pass(clients: &[LiveClient], mixes: &[Vec<String>]) {
     });
 }
 
-fn round(clients: &[LiveClient], mixes: &[Vec<String>]) -> f64 {
+fn round(clients: &[ShardClient], mixes: &[Vec<String>]) -> f64 {
     let t0 = Instant::now();
     for _ in 0..PASSES_PER_ROUND {
         pass(clients, mixes);
@@ -100,9 +110,9 @@ fn two_site(
     db: &ParkingDb,
     rec: &Arc<TelemetryRecorder>,
     cfg: OaConfig,
-) -> LiveCluster {
+) -> ShardedCluster {
     let svc = db.service.clone();
-    let mut cluster = LiveCluster::new(svc.clone());
+    let mut cluster = one_shard_per_site(db, 2);
     cluster.set_recorder(rec.clone());
     let oa1 = OrganizingAgent::new(SiteAddr(1), svc.clone(), cfg.clone());
     oa1.db_mut().bootstrap_owned(&db.master, &db.root_path(), true).unwrap();
@@ -115,6 +125,7 @@ fn two_site(
     cluster.register_owner(&carved, SiteAddr(2));
     cluster.add_site(oa1);
     cluster.add_site(oa2);
+    cluster.start();
     cluster
 }
 
@@ -125,7 +136,7 @@ fn scrape_at_depth(db: &ParkingDb, depth: usize) -> (f64, usize) {
         window_depth: depth,
         ..TelemetryConfig::default()
     });
-    let mut cluster = two_site(db, &rec, OaConfig::default());
+    let cluster = two_site(db, &rec, OaConfig::default());
     let mut w3 = Workload::uniform(db, QueryType::T3, 11);
     for _ in 0..32 {
         let r = cluster

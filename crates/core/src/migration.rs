@@ -34,6 +34,11 @@ impl OrganizingAgent {
         if to == self.addr {
             return; // nothing to do
         }
+        if self.hold_set().contains(&path) {
+            // A transfer of this path is already in flight; a second
+            // `TakeOwnership` could land after a hand-back and re-claim it.
+            return;
+        }
         let fragment_xml = {
             let db = self.db();
             if db.status_at(&path) != Some(Status::Owned) {
@@ -90,7 +95,9 @@ impl OrganizingAgent {
     }
 
     /// Old owner side: demote to a cached copy, install forwarding, replay
-    /// held traffic.
+    /// held traffic. Only an ack for a transfer still in flight counts: a
+    /// duplicated or late ack must not demote a site that has since
+    /// re-acquired the path.
     pub(crate) fn on_take_ack(
         &mut self,
         path: IdPath,
@@ -99,8 +106,10 @@ impl OrganizingAgent {
         now: f64,
         oc: &mut HandleOutcome,
     ) {
+        if !self.hold_set().remove(&path) {
+            return;
+        }
         let _ = self.db_mut().set_status_subtree(&path, Status::Complete);
-        self.hold_set().remove(&path);
         self.record_migration(SpanKind::MigrateAck, &path, new_owner.0, now);
         self.forward_map().insert(path, new_owner);
         self.release_held(dns, now, oc);
@@ -245,6 +254,84 @@ mod tests {
             o,
             Outbound::Send { to: SiteAddr(2), msg: Message::UserQuery { .. } }
         )));
+    }
+
+    /// The single message in `out`, which must be addressed to `to`.
+    fn only_send(out: &[Outbound], to: SiteAddr) -> Message {
+        assert_eq!(out.len(), 1, "expected exactly one outbound message");
+        let Outbound::Send { to: got, msg } = &out[0] else { panic!("not a send") };
+        assert_eq!(*got, to);
+        msg.clone()
+    }
+
+    /// `owner` owns `path`; `other` holds a cached copy and forwards to it.
+    fn assert_owned_by(owner: &mut OrganizingAgent, other: &mut OrganizingAgent, path: &IdPath) {
+        assert_eq!(owner.db().status_at(path), Some(Status::Owned), "owner lost the path");
+        assert_eq!(other.db().status_at(path), Some(Status::Complete), "two owners");
+        assert_eq!(other.forward_map().get(path), Some(&owner.addr));
+        assert_eq!(owner.forward_map().get(path), None, "owner forwards its own path");
+    }
+
+    #[test]
+    fn repeated_delegate_in_flight_cannot_reclaim_after_hand_back() {
+        let (mut a, mut b, mut dns, _svc) = setup();
+        let block = oakland().child("block", "1");
+        let delegate = |to| Message::Delegate { path: block.clone(), to };
+
+        // A is told twice to hand the block to B before B's ack arrives.
+        let take = only_send(&a.handle(delegate(SiteAddr(2)), &mut dns, 0.0), SiteAddr(2));
+        let repeat = a.handle(delegate(SiteAddr(2)), &mut dns, 0.0);
+        let ack = only_send(&b.handle(take, &mut dns, 0.0), SiteAddr(1));
+        let _ = a.handle(ack, &mut dns, 0.0);
+
+        // B hands the block back; A re-acquires it before B sees the ack.
+        let take_back = only_send(&b.handle(delegate(SiteAddr(1)), &mut dns, 1.0), SiteAddr(1));
+        let ack_back = only_send(&a.handle(take_back, &mut dns, 1.0), SiteAddr(2));
+
+        // Anything the repeated delegate sent lands only now, at B, and
+        // B's answer to it reaches A last.
+        let mut late_acks = Vec::new();
+        for o in &repeat {
+            let Outbound::Send { msg, .. } = o else { panic!("not a send") };
+            late_acks.extend(b.handle(msg.clone(), &mut dns, 2.0));
+        }
+        let _ = b.handle(ack_back, &mut dns, 2.0);
+        for o in late_acks {
+            let Outbound::Send { msg, .. } = o else { panic!("not a send") };
+            let _ = a.handle(msg, &mut dns, 2.0);
+        }
+
+        assert_owned_by(&mut a, &mut b, &block);
+        assert!(repeat.is_empty(), "a second transfer started while one was in flight");
+    }
+
+    #[test]
+    fn late_duplicate_ack_does_not_demote_the_reacquired_owner() {
+        let (mut a, mut b, mut dns, _svc) = setup();
+        let block = oakland().child("block", "1");
+
+        // A → B, keeping a copy of B's ack (a fault-duplicated delivery).
+        let take = only_send(
+            &a.handle(Message::Delegate { path: block.clone(), to: SiteAddr(2) }, &mut dns, 0.0),
+            SiteAddr(2),
+        );
+        let ack = only_send(&b.handle(take, &mut dns, 0.0), SiteAddr(1));
+        let _ = a.handle(ack.clone(), &mut dns, 0.0);
+
+        // B → A: A owns the block again.
+        let take_back = only_send(
+            &b.handle(Message::Delegate { path: block.clone(), to: SiteAddr(1) }, &mut dns, 1.0),
+            SiteAddr(1),
+        );
+        let ack_back = only_send(&a.handle(take_back, &mut dns, 1.0), SiteAddr(2));
+        let _ = b.handle(ack_back, &mut dns, 1.0);
+        assert_owned_by(&mut a, &mut b, &block);
+
+        // The duplicate of the first ack arrives late: it refers to a
+        // transfer A no longer has in flight.
+        let out = a.handle(ack, &mut dns, 2.0);
+        assert!(out.is_empty());
+        assert_owned_by(&mut a, &mut b, &block);
     }
 
     #[test]

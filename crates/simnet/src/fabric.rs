@@ -1,11 +1,9 @@
 //! The fault fabric: the seeded drop/duplicate/delay/crash plane applied at
-//! the channel boundary, factored out of the per-site live runtime so the
-//! sharded runtime ([`crate::shard`]) reuses the exact same decision
-//! streams. Delivery is abstracted behind a closure — the thread-per-site
-//! cluster delivers straight into per-site channels, the sharded cluster
-//! routes through its shard mailboxes (framing cross-shard copies) — while
-//! the [`FaultState`] consulted per send stays identical, so a seed
-//! replays the same per-link decisions on every substrate.
+//! the channel boundary of the threaded runtime ([`crate::shard`]).
+//! Delivery is abstracted behind a closure — the sharded cluster routes
+//! through its shard mailboxes (framing cross-shard copies) — while the
+//! [`FaultState`] consulted per send is the one the DES uses, so a seed
+//! replays the same per-link decisions on both substrates.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -20,9 +18,8 @@ use crate::faults::{FaultCounts, FaultPlan, FaultState};
 
 /// A hand-rolled task queue shared between an owner/event loop and its
 /// read workers. Closing wakes every blocked worker so they can exit.
-/// Generic over the work item: the thread-per-site runtime queues bare
-/// [`irisnet_core::ReadTask`]s, the sharded runtime tags each task with
-/// the owning site.
+/// Generic over the work item; the sharded runtime tags each
+/// [`irisnet_core::ReadTask`] with the owning site.
 pub(crate) struct WorkQueue<T> {
     state: StdMutex<(std::collections::VecDeque<(T, Instant)>, bool)>,
     cv: Condvar,

@@ -7,9 +7,9 @@
 //! `(seed, link, per-link message sequence number)` via SplitMix64, so the
 //! same plan produces the same per-link fault sequence no matter which
 //! substrate applies it: the discrete-event simulator consults it at
-//! delivery scheduling time, the live cluster at the channel boundary.
-//! (Thread interleaving in the live cluster can reorder *which* message a
-//! decision lands on, but the decision stream per link is identical.)
+//! delivery scheduling time, the sharded runtime at the channel boundary.
+//! (Thread interleaving in the sharded runtime can reorder *which* message
+//! a decision lands on, but the decision stream per link is identical.)
 //!
 //! Crash windows model unreachability, not amnesia: a "down" site keeps
 //! its state and simply receives nothing until its restart time — the

@@ -3,27 +3,25 @@
 //! Cluster substrates for the wide area sensor database. Both drive the
 //! same [`irisnet_core::OrganizingAgent`] state machine:
 //!
-//! * [`live`] — a **live cluster**: one thread per site, crossbeam channels
-//!   as the network, a shared authoritative DNS, wall-clock time. Used by
-//!   the examples and the micro-benchmarks (real engine latencies,
-//!   Fig. 11).
+//! * [`shard`] — the **threaded runtime**: sites multiplex onto N shard
+//!   event loops with shard-shared read worker pools, a shared
+//!   authoritative DNS and wall-clock time; cross-shard messages pass
+//!   through the length-framed binary [`wire`] codec exactly as a TCP
+//!   transport would. N defaults to the core count (10,000-site
+//!   hierarchies on one host); N = site count gives every site its own
+//!   loop. Used by the examples, the micro-benchmarks (real engine
+//!   latencies, Fig. 11) and the repository benchmark.
 //! * [`des`] — a **discrete-event simulator**: virtual clock, per-site FIFO
 //!   CPU queues with a calibratable [`des::CostModel`], deterministic
 //!   message ordering. Used by the throughput/load-balancing/caching
 //!   experiments (Figs. 7–10), where the quantity of interest is queueing
 //!   and placement, not raw engine speed.
-//! * [`shard`] — the **sharded event-loop runtime**: many sites multiplex
-//!   onto N shard threads (N ∝ cores, not sites) with shard-shared read
-//!   worker pools; cross-shard messages pass through the length-framed
-//!   binary [`wire`] codec exactly as a TCP transport would. This is the
-//!   scale substrate (10,000-site hierarchies on one host).
 //! * [`metrics`] — throughput windows and latency percentiles shared by
-//!   all substrates.
+//!   both substrates.
 
 pub mod des;
 pub(crate) mod fabric;
 pub mod faults;
-pub mod live;
 pub mod metrics;
 pub mod shard;
 pub mod trace;
@@ -31,8 +29,7 @@ pub mod wire;
 
 pub use des::{ClientLoad, CostModel, DesCluster, ReplyRecord, UnclaimedReply};
 pub use faults::{CrashWindow, FaultCounts, FaultPlan, FaultState};
-pub use live::{cache_stats_total, LiveClient, LiveCluster, LiveReply};
 pub use metrics::{latency_percentiles, throughput_series, Percentiles};
-pub use shard::{ShardClient, ShardConfig, ShardedCluster};
+pub use shard::{cache_stats_total, LiveReply, ShardClient, ShardConfig, ShardedCluster};
 pub use trace::{MsgClass, Trace};
 pub use wire::{decode_frame, encode_frame, split_frame, WireError, WIRE_VERSION};

@@ -1,15 +1,16 @@
-//! The sharded event-loop runtime: many sites multiplexed onto
-//! core-proportional threads, with cross-shard messages passing through
-//! the length-framed binary [`crate::wire`] codec.
+//! The threaded runtime: many sites multiplexed onto shard event loops,
+//! with cross-shard messages passing through the length-framed binary
+//! [`crate::wire`] codec.
 //!
-//! Where [`crate::live`] spawns a thread (plus an optional worker pool)
-//! *per site*, this runtime spawns **N shard threads** (default
-//! `available cores - 1`), each an event loop owning `sites/N`
-//! [`OrganizingAgent`]s. A shard multiplexes its agents' mailboxes over a
-//! single MPSC channel and a lazy-invalidation timer heap (for retry
-//! ticks), and runs ReadTasks on a *shard-shared* worker pool — so total
-//! OS thread count is `shards × (1 + workers_per_shard) + 1` regardless of
-//! whether the hierarchy has 9 sites or 10,000.
+//! The runtime spawns **N shard threads** (default `available cores - 1`),
+//! each an event loop owning `sites/N` [`OrganizingAgent`]s. A shard
+//! multiplexes its agents' mailboxes over a single MPSC channel and a
+//! lazy-invalidation timer heap (for retry ticks), and runs ReadTasks on a
+//! *shard-shared* worker pool — so total OS thread count is
+//! `shards × (1 + workers_per_shard) + 1` regardless of whether the
+//! hierarchy has 9 sites or 10,000. With `shards` equal to the site count
+//! every site gets its own loop and its own `workers_per_shard` read
+//! workers — one thread (plus pool) per site.
 //!
 //! ## The wire boundary
 //!
@@ -24,11 +25,10 @@
 //! order is preserved either way: every delivery lands immediately in the
 //! destination shard's single channel.
 //!
-//! The fault plane ([`crate::FaultPlan`]) and retry/timeout semantics
-//! carry over unchanged from the live cluster: the same
-//! [`FaultFabric`] wraps every site-to-site send, and the same delayer
-//! thread re-injects delayed/duplicated copies (framed, since it is not a
-//! shard).
+//! The fault plane ([`crate::FaultPlan`]) wraps every site-to-site send in
+//! the [`FaultFabric`] (the same per-link decision streams as the DES), and
+//! a delayer thread re-injects delayed/duplicated copies (framed, since it
+//! is not a shard).
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::cmp::Reverse;
@@ -41,15 +41,73 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use irisdns::{AuthoritativeDns, CachingResolver, SiteAddr};
 use irisnet_core::{
     perform_read, CoreError, Endpoint, IdPath, Message, OrganizingAgent, Outbound,
-    QueryId, ReadContext, ReadDone, ReadTask, Service,
+    QueryId, ReadContext, ReadDone, ReadResult, ReadTask, ReadTaskKind, Service,
 };
 use irisobs::{Histogram, Recorder};
 use parking_lot::Mutex;
 
 use crate::fabric::{FaultFabric, WorkQueue};
 use crate::faults::{FaultCounts, FaultPlan};
-use crate::live::{site_down_done, LiveReply, ReplyTuple};
 use crate::wire::{decode_frame, encode_frame};
+
+/// The `(query id, answer XML, ok, partial)` tuples pushed back to clients.
+pub type ReplyTuple = (QueryId, String, bool, bool);
+
+/// A completed user query, as seen by the posing client.
+#[derive(Debug, Clone)]
+pub struct LiveReply {
+    pub qid: QueryId,
+    pub answer_xml: String,
+    pub ok: bool,
+    /// True if retries were exhausted for part of the queried subtree and
+    /// the answer carries `partial="true"` covering stubs.
+    pub partial: bool,
+    pub latency: Duration,
+}
+
+/// Cluster-wide cache-plane totals over the agents returned by
+/// [`ShardedCluster::shutdown`] — the threaded counterpart of
+/// [`crate::DesCluster::cache_stats_total`].
+pub fn cache_stats_total(agents: &[OrganizingAgent]) -> irisnet_core::CacheStats {
+    let mut total = irisnet_core::CacheStats::default();
+    for oa in agents {
+        total.accumulate(&oa.cache_stats());
+    }
+    total
+}
+
+/// Synthesizes the completion record of a read task abandoned at shutdown:
+/// a `SiteDown` error for user finalizes, an empty partial fragment for
+/// site finalizes, an exec error otherwise. Feeding these through
+/// [`OrganizingAgent::complete_read`] reuses the normal reply routing.
+fn site_down_done(task: &ReadTask) -> ReadDone {
+    let result = match &task.kind {
+        ReadTaskKind::FinalizeUser { endpoint, qid, .. } => ReadResult::UserAnswer {
+            endpoint: *endpoint,
+            qid: *qid,
+            answer_xml: format!("<error>{}</error>", CoreError::SiteDown),
+            ok: false,
+            partial: true,
+        },
+        ReadTaskKind::FinalizeSite { addr, qid, .. } => ReadResult::Fragment {
+            addr: *addr,
+            qid: *qid,
+            fragment_xml: String::new(),
+            partial: true,
+        },
+        ReadTaskKind::Execute { .. } => ReadResult::ExecError {
+            error_xml: format!("<error>{}</error>", CoreError::SiteDown),
+        },
+    };
+    ReadDone {
+        pid: task.pid,
+        result,
+        time_create: 0.0,
+        time_exec: 0.0,
+        time_extract: 0.0,
+        time_comm: 0.0,
+    }
+}
 
 /// Sizing knobs for [`ShardedCluster`].
 #[derive(Debug, Clone)]
@@ -171,10 +229,11 @@ impl Ord for F64Ord {
 
 type TimerHeap = BinaryHeap<Reverse<(F64Ord, SiteAddr)>>;
 
-/// A running sharded cluster. Usage mirrors [`crate::LiveCluster`] except
-/// that sites are added *before* [`ShardedCluster::start`] spawns the
-/// shard threads (shard assignment needs the full site set only in so far
-/// as channels are created once; assignment itself is `addr.0 % shards`).
+/// A running sharded cluster. Sites are added *before*
+/// [`ShardedCluster::start`] spawns the shard threads (channels are
+/// created once; assignment itself is `addr.0 % shards`); everything that
+/// talks to a site — poses, sends, subscriptions, scrapes — needs the
+/// cluster started.
 pub struct ShardedCluster {
     service: Arc<Service>,
     dns: Arc<Mutex<AuthoritativeDns>>,
@@ -243,8 +302,10 @@ impl ShardedCluster {
         self.recorder = Some(rec);
     }
 
-    /// Installs a fault plan (same decision streams as the DES and live
-    /// substrates; client reply channels stay reliable). The delayer
+    /// Installs a fault plan (same decision streams as the DES; client
+    /// reply channels stay reliable). The same seed yields the same
+    /// per-link decision streams, though thread interleaving can reorder
+    /// which message a decision lands on. The delayer
     /// thread's re-injections cross the wire boundary like any non-shard
     /// sender.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -396,9 +457,7 @@ impl ShardedCluster {
     /// Sends a raw message to a site (SA updates, admin delegations).
     /// Crosses the wire boundary: admin senders are not shards.
     pub fn send(&self, to: SiteAddr, msg: Message) {
-        if let Some(r) = &self.router {
-            r.deliver(None, to, msg);
-        }
+        self.router.as_ref().expect("send before start").deliver(None, to, msg);
     }
 
     /// Poses a query using self-starting routing (LCA extraction + DNS)
@@ -457,25 +516,27 @@ impl ShardedCluster {
 
     /// Registers a continuous query at `site` and returns the stream of
     /// pushed answers (§7): the initial snapshot first, then one message
-    /// per change.
+    /// per change. Dropping the receiver simply discards further pushes;
+    /// send an `Unsubscribe` to stop them at the source.
     pub fn subscribe(
         &mut self,
         site: SiteAddr,
         text: &str,
     ) -> (QueryId, Receiver<ReplyTuple>) {
+        let router = self.router.as_ref().expect("subscribe before start");
         let endpoint = Endpoint(self.next_endpoint.fetch_add(1, Ordering::Relaxed));
         let qid = self.next_qid.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = unbounded();
         self.replies.lock().insert(endpoint, tx);
-        self.send(site, Message::Subscribe { qid, text: text.to_string(), endpoint });
+        router.deliver(None, site, Message::Subscribe { qid, text: text.to_string(), endpoint });
         (qid, rx)
     }
 
     /// Stops one *site* mid-run and returns its agent — the crash half of
-    /// a crash/restart cycle (cf. [`crate::LiveCluster::stop_site`]). The
-    /// site is unrouted first, so queries routed to it from then on fail
-    /// fast with `SiteDown`; its shard keeps serving its other sites. The
-    /// agent comes back with pending queries failed out loud.
+    /// a crash/restart cycle. The site is unrouted first, so queries
+    /// routed to it from then on fail fast with `SiteDown`; its shard keeps
+    /// serving its other sites. The agent comes back with pending queries
+    /// failed out loud.
     pub fn stop_site(&mut self, addr: SiteAddr) -> Option<OrganizingAgent> {
         let router = self.router.as_ref()?;
         // Unroute before detaching: once the mapping is gone no new
@@ -571,8 +632,10 @@ impl ShardedCluster {
     }
 }
 
-/// A cloneless per-thread client handle over a running [`ShardedCluster`];
-/// the counterpart of [`crate::LiveClient`].
+/// A cloneless per-thread client handle over a running [`ShardedCluster`].
+/// Obtain one per client thread via [`ShardedCluster::client`]; endpoint
+/// and query id allocation is shared with the cluster, so handles and the
+/// cluster can pose queries concurrently without collisions.
 pub struct ShardClient {
     service: Arc<Service>,
     dns: Arc<Mutex<AuthoritativeDns>>,
@@ -1120,5 +1183,24 @@ mod tests {
         assert!(r.answer_xml.contains("site down"), "got: {}", r.answer_xml);
         assert!(t0.elapsed() < Duration::from_secs(5), "did not fail fast");
         cluster.shutdown();
+    }
+
+    /// A message sent before the shards exist has nowhere to go: it must
+    /// not vanish silently.
+    #[test]
+    #[should_panic(expected = "send before start")]
+    fn send_before_start_panics() {
+        let cluster = ShardedCluster::new(Service::parking());
+        cluster.send(
+            SiteAddr(1),
+            Message::Update { path: pgh(), fields: vec![("available".into(), "yes".into())] },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "subscribe before start")]
+    fn subscribe_before_start_panics() {
+        let mut cluster = ShardedCluster::new(Service::parking());
+        let _ = cluster.subscribe(SiteAddr(1), "/usRegion[@id='NE']");
     }
 }

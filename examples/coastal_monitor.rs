@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use irisnet::core::{IdPath, Message, OaConfig, OrganizingAgent, Schema, Service, Status};
 use irisnet::dns::SiteAddr;
-use irisnet::net::LiveCluster;
+use irisnet::net::{ShardConfig, ShardedCluster};
 
 fn main() {
     let schema = Schema::chain(["coast", "region", "station", "instrument"]);
@@ -54,13 +54,17 @@ fn main() {
     let oa3 = OrganizingAgent::new(SiteAddr(3), service.clone(), OaConfig::default());
     oa3.db_mut().bootstrap_owned(&master, &root, false).unwrap();
 
-    let mut cluster = LiveCluster::new(service.clone());
+    let mut cluster = ShardedCluster::with_config(
+        service.clone(),
+        ShardConfig { shards: 3, workers_per_shard: 0, force_wire: false },
+    );
     cluster.register_owner(&root, SiteAddr(3));
     cluster.register_owner(&north, SiteAddr(1));
     cluster.register_owner(&south, SiteAddr(2));
     cluster.add_site(oa1);
     cluster.add_site(oa2);
     cluster.add_site(oa3);
+    cluster.start();
 
     // Buoy proxies push readings to the owners.
     cluster.send(

@@ -15,7 +15,7 @@ use irisnet::core::{
     EvictionPolicy, IdPath, Message, OaConfig, OrganizingAgent, Service,
 };
 use irisnet::dns::SiteAddr;
-use irisnet::net::LiveCluster;
+use irisnet::net::{ShardConfig, ShardedCluster};
 
 fn main() {
     let master = irisnet::xml::parse(
@@ -43,9 +43,13 @@ fn main() {
     );
     oa.db_mut().bootstrap_owned(&master, &root, true).expect("bootstrap");
 
-    let mut cluster = LiveCluster::new(service.clone());
+    let mut cluster = ShardedCluster::with_config(
+        service.clone(),
+        ShardConfig { shards: 1, workers_per_shard: 0, force_wire: false },
+    );
     cluster.register_owner(&root, SiteAddr(1));
     cluster.add_site(oa);
+    cluster.start();
 
     // The standing query: available spaces in the block the driver is
     // heading to.

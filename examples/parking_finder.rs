@@ -15,7 +15,7 @@ use irisnet::core::{
     CacheMode, IdPath, Message, OaConfig, OrganizingAgent, SensingAgent, Service,
 };
 use irisnet::dns::SiteAddr;
-use irisnet::net::LiveCluster;
+use irisnet::net::{ShardConfig, ShardedCluster};
 use irisnet_bench::{DbParams, ParkingDb};
 
 fn main() {
@@ -25,8 +25,13 @@ fn main() {
     let service: std::sync::Arc<Service> = db.service.clone();
 
     // Hierarchical IrisNet placement: top of the hierarchy on site 1,
-    // cities on 2-3, neighborhoods (with their blocks) on 4-9.
-    let mut cluster = LiveCluster::new(service.clone());
+    // cities on 2-3, neighborhoods (with their blocks) on 4-9 — one shard
+    // event loop per site.
+    let sites = 1 + db.params.cities * (1 + db.params.neighborhoods_per_city);
+    let mut cluster = ShardedCluster::with_config(
+        service.clone(),
+        ShardConfig { shards: sites, workers_per_shard: 0, force_wire: false },
+    );
     let cfg = OaConfig { cache: CacheMode::Aggressive, ..OaConfig::default() };
 
     let top = OrganizingAgent::new(SiteAddr(1), service.clone(), cfg.clone());
@@ -58,6 +63,7 @@ fn main() {
             next += 1;
         }
     }
+    cluster.start();
 
     // Webcam proxies (sensing agents) report on the Oakland-analogue
     // neighborhood (Pittsburgh, n1): one SA per block, reporting to the

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use irisnet::core::{IdPath, Message, OaConfig, OrganizingAgent, Service};
 use irisnet::dns::SiteAddr;
-use irisnet::net::LiveCluster;
+use irisnet::net::{ShardConfig, ShardedCluster};
 
 fn main() {
     // The single logical document of the service.
@@ -51,12 +51,16 @@ fn main() {
     let oa2 = OrganizingAgent::new(SiteAddr(2), service.clone(), OaConfig::default());
     oa2.db_mut().bootstrap_owned(&master, &shadyside, true).unwrap();
 
-    // A live cluster: one thread per site, shared DNS.
-    let mut cluster = LiveCluster::new(service.clone());
+    // A threaded cluster: one shard event loop per site, shared DNS.
+    let mut cluster = ShardedCluster::with_config(
+        service.clone(),
+        ShardConfig { shards: 2, workers_per_shard: 0, force_wire: false },
+    );
     cluster.register_owner(&IdPath::from_pairs([("usRegion", "NE")]), SiteAddr(1));
     cluster.register_owner(&shadyside, SiteAddr(2));
     cluster.add_site(oa1);
     cluster.add_site(oa2);
+    cluster.start();
 
     // A sensor update lands at the owner.
     cluster.send(

@@ -62,42 +62,3 @@ echo
 echo "== BENCH_PR1.json =="
 jq . BENCH_PR1.json
 
-# ---------------------------------------------------------------------------
-# PR 2: hot-site throughput vs read-worker count. One owner site, 8 client
-# threads, a t1/t3 read-mostly mix; w0 is the serial inline path. Each
-# criterion iteration poses 64 queries, so qps = 64e9 / mean_ns. True
-# parallel speedup needs as many cores as workers — host_cores is recorded
-# so single-core container runs (where all configs converge) read sanely.
-echo
-echo "== bench_smoke: hot-site worker scaling (budget ${BUDGET_MS} ms/bench) =="
-JSONL2="$(mktemp /tmp/bench_smoke.XXXXXX.jsonl)"
-trap 'rm -f "$JSONL" "$JSONL2"' EXIT
-CRITERION_JSONL="$JSONL2" CRITERION_BUDGET_MS="$BUDGET_MS" \
-    cargo bench -q -p irisnet-bench --bench hot_site -- hot_site/
-
-jq -s --argjson cores "$(nproc)" '
-  INDEX(.name) | map_values(.mean_ns) as $m |
-  def qps(n): (64e9 / $m[n] * 10 | round) / 10;
-  {
-    generated_by: "scripts/bench_smoke.sh",
-    workload: "8 client threads x 8 queries (t1/t3 mix), one owner site",
-    host_cores: $cores,
-    queries_per_sec: {
-      serial_inline: qps("hot_site/mix_w0"),
-      workers_1: qps("hot_site/mix_w1"),
-      workers_2: qps("hot_site/mix_w2"),
-      workers_4: qps("hot_site/mix_w4"),
-      workers_8: qps("hot_site/mix_w8")
-    },
-    speedup_4v1: (($m["hot_site/mix_w1"] / $m["hot_site/mix_w4"] * 100 | round) / 100),
-    speedup_8v1: (($m["hot_site/mix_w1"] / $m["hot_site/mix_w8"] * 100 | round) / 100),
-    note: (if $cores < 4 then
-      "host has fewer cores than workers: configs are CPU-equivalent and converge; rerun on >=4 cores for the scaling signal"
-    else
-      "speedups are wall-clock scaling of the read-worker pool"
-    end)
-  }' "$JSONL2" > BENCH_PR2.json
-
-echo
-echo "== BENCH_PR2.json =="
-jq . BENCH_PR2.json

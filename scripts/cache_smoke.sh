@@ -2,7 +2,7 @@
 # Bounded-cache smoke (~1-2 min after a release build): proves the PR 6
 # cache plane end to end and regenerates BENCH_PR6.json.
 #
-#  1. Correctness oracle (release): DES-vs-live byte-identical answers at
+#  1. Correctness oracle (release): DES-vs-sharded byte-identical answers at
 #     every eviction-policy setting, hot-path regression (cache-hit query
 #     takes no write lock, does zero eviction work), and the eviction
 #     proptests under a fixed PROPTEST_RNG_SEED for replayability.
@@ -21,7 +21,7 @@ export PROPTEST_RNG_SEED="${PROPTEST_RNG_SEED:-1786}"
 echo "== cache_smoke: build (release) =="
 cargo build --release -q -p irisnet-core -p irisnet-bench --bin exp_caching || exit 1
 
-echo "== cache_smoke: DES-vs-live answer equivalence across policies =="
+echo "== cache_smoke: DES-vs-sharded answer equivalence across policies =="
 cargo test --release -q --test cache_equivalence || exit 1
 
 echo "== cache_smoke: hot-path regression (no write lock on a cache hit) =="

@@ -40,7 +40,7 @@ for seed in "${SEEDS[@]}"; do
 done
 
 # Shutdown liveness: clients racing a worker-pool teardown must fail fast.
-run cargo test --release -q --test live_stress shutdown_races
+run cargo test --release -q --test shard_stress shutdown_races
 
 if [ "$FAIL" -ne 0 ]; then
     echo "chaos_smoke: FAILURES (see seeds above)" >&2

@@ -6,7 +6,7 @@
 #     corruption recovers a clean op-aligned prefix, snapshot compaction
 #     replays to the same state as the pure WAL, golden record/segment
 #     bytes stay pinned;
-#  2. the crash/restart recovery plane (DES, live File backend, sharded) +
+#  2. the crash/restart recovery plane (DES, sharded File backend) +
 #     the crash-then-restart chaos-equivalence ablation;
 #  3. exp_recovery — jq-asserted bounds on replay: every cell replays its
 #     full expected tail, and no recovery takes longer than 2 s.
@@ -40,7 +40,7 @@ for seed in "${SEEDS[@]}"; do
     fi
 done
 
-# Deterministic crash/restart planes: DES + live File backend + sharded,
+# Deterministic crash/restart planes: DES + sharded File backend,
 # the restart-empty ablation, and the healed partial-answer path.
 run cargo test --release -q --test durability_recovery
 run cargo test --release -q --test partial_answers temporary_crash

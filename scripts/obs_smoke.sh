@@ -1,29 +1,22 @@
 #!/usr/bin/env bash
-# Observability smoke: exercises the tracing/metrics plane end to end and
-# guards its cost (~1 min after a release build).
+# Observability smoke: exercises the tracing/metrics plane end to end
+# (~30 s after a release build).
 #
-#  1. exp_explain (release): two-site DES run with a recorder attached;
-#     dumps spans + metrics as JSONL, round-trips the dump through the
-#     parser, prints `query explain` reports. The JSONL is re-validated
-#     here line by line with jq.
-#  2. obs_overhead (release): hot-site serial workload, recorder absent vs
-#     attached, interleaved rounds. The no-op median is held against the
-#     pre-instrumentation BENCH_PR2.json serial_inline baseline: more than
-#     OBS_BUDGET_PCT (default 2) percent below it fails the run. Skipped
-#     gracefully when the baseline file is missing (fresh checkout).
-#  3. Writes BENCH_PR5.json at the repo root.
+# exp_explain (release): two-site DES run with a recorder attached; dumps
+# spans + metrics as JSONL, round-trips the dump through the parser,
+# prints `query explain` reports. The JSONL is re-validated here line by
+# line with jq. Tracing overhead is measured by the repository benchmark
+# (`irisobs.trace_overhead_pct`), not here.
 #
 # Usage: scripts/obs_smoke.sh
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET_PCT="${OBS_BUDGET_PCT:-2}"
 TRACE_JSONL="$(mktemp /tmp/obs_smoke.XXXXXX.jsonl)"
-OVERHEAD_JSON="$(mktemp /tmp/obs_smoke.XXXXXX.json)"
-trap 'rm -f "$TRACE_JSONL" "$OVERHEAD_JSON"' EXIT
+trap 'rm -f "$TRACE_JSONL"' EXIT
 
 echo "== obs_smoke: build (release) =="
-cargo build --release -q -p irisnet-bench --bin exp_explain --bin obs_overhead || exit 1
+cargo build --release -q -p irisnet-bench --bin exp_explain || exit 1
 
 echo "== obs_smoke: exp_explain -> $TRACE_JSONL =="
 EXPLAIN_OUT="$(cargo run --release -q -p irisnet-bench --bin exp_explain -- "$TRACE_JSONL")" || exit 1
@@ -47,62 +40,4 @@ jq -e -s '
 ' "$TRACE_JSONL" > /dev/null \
     || { echo "obs_smoke: JSONL validation failed for $TRACE_JSONL" >&2; exit 1; }
 echo "obs_smoke: JSONL valid ($(wc -l < "$TRACE_JSONL") lines)"
-
-echo "== obs_smoke: obs_overhead (no-op budget ${BUDGET_PCT}%) =="
-# The guard claim is one-sided — "the no-op path is still *capable* of
-# the baseline throughput" — and load noise only ever pushes a run down,
-# so a bounded retry keeping the best attempt is sound: one quiet run
-# proves capability, a busy machine merely needs more attempts.
-ATTEMPTS="${OBS_GUARD_ATTEMPTS:-3}"
-BASELINE="null"
-if [ -f BENCH_PR2.json ]; then
-    BASELINE="$(jq -r '.queries_per_sec.serial_inline // "null"' BENCH_PR2.json)"
-fi
-VERDICT="skipped (no BENCH_PR2.json baseline)"
-STATUS=0
-BEST_NOOP=0
-for attempt in $(seq 1 "$ATTEMPTS"); do
-    cargo run --release -q -p irisnet-bench --bin obs_overhead > "$OVERHEAD_JSON.try" || exit 1
-    NOOP_QPS="$(jq -r '.noop_qps' "$OVERHEAD_JSON.try")"
-    if jq -e -n --argjson n "$NOOP_QPS" --argjson b "$BEST_NOOP" '$n > $b' > /dev/null; then
-        BEST_NOOP="$NOOP_QPS"
-        cp "$OVERHEAD_JSON.try" "$OVERHEAD_JSON"
-    fi
-    if [ "$BASELINE" = "null" ]; then
-        break
-    fi
-    if jq -e -n --argjson n "$NOOP_QPS" --argjson b "$BASELINE" --argjson pct "$BUDGET_PCT" \
-        '$n >= $b * (1 - $pct / 100)' > /dev/null; then
-        VERDICT="pass (noop ${NOOP_QPS} qps vs baseline ${BASELINE} qps, attempt ${attempt}/${ATTEMPTS})"
-        STATUS=0
-        break
-    fi
-    VERDICT="FAIL (best noop ${BEST_NOOP} qps < baseline ${BASELINE} qps - ${BUDGET_PCT}% after ${attempt} attempts)"
-    STATUS=1
-    echo "obs_smoke: attempt ${attempt}: noop ${NOOP_QPS} qps below bar, retrying" >&2
-done
-rm -f "$OVERHEAD_JSON.try"
-cat "$OVERHEAD_JSON"
-echo "obs_smoke: no-op overhead guard: $VERDICT"
-
-jq -n \
-    --slurpfile o "$OVERHEAD_JSON" \
-    --argjson baseline "$BASELINE" \
-    --argjson budget "$BUDGET_PCT" \
-    --arg verdict "$VERDICT" \
-    '{
-      generated_by: "scripts/obs_smoke.sh",
-      overhead: $o[0],
-      noop_guard: {
-        baseline_serial_inline_qps: $baseline,
-        budget_pct: $budget,
-        verdict: $verdict
-      }
-    }' > BENCH_PR5.json
-echo "obs_smoke: wrote BENCH_PR5.json"
-
-if [ "$STATUS" -ne 0 ]; then
-    echo "obs_smoke: FAILED (no-op overhead above budget; single runs wobble — rerun on a quiet machine before trusting it)" >&2
-    exit 1
-fi
 echo "obs_smoke: all green"

@@ -3,8 +3,8 @@
 //! in the same order against identically bootstrapped clusters, must
 //! produce byte-identical canonical answers under every eviction policy
 //! (budgeted LRU, heat-weighted, segment-age, TTL) as under
-//! `KeepForever`, on the live cluster with a multi-worker read pool and
-//! on the serial DES oracle alike. Eviction demotes to incomplete ID
+//! `KeepForever`, on the live (threaded, wall-clock) sharded runtime with
+//! a multi-worker read pool and on the serial DES oracle alike. Eviction demotes to incomplete ID
 //! stubs, so a post-eviction query transparently refills by subquery.
 
 use std::time::Duration;
@@ -14,7 +14,7 @@ use irisnet_bench::{DbParams, ParkingDb, QueryType, Workload};
 use irisnet_core::{
     CacheBudget, Endpoint, EvictionPolicy, Message, OaConfig, OrganizingAgent, Status,
 };
-use simnet::{cache_stats_total, CostModel, DesCluster, LiveCluster};
+use simnet::{cache_stats_total, CostModel, DesCluster, ShardConfig, ShardedCluster};
 
 fn params() -> DbParams {
     DbParams {
@@ -72,17 +72,22 @@ fn policies() -> Vec<(&'static str, EvictionPolicy)> {
     ]
 }
 
-fn live_answers(
+fn sharded_answers(
     db: &ParkingDb,
     workers: usize,
     policy: EvictionPolicy,
 ) -> (Vec<String>, irisnet_core::CacheStats) {
-    let mut cluster = LiveCluster::new(db.service.clone());
+    // One shard per site, `workers` read workers each.
+    let mut cluster = ShardedCluster::with_config(
+        db.service.clone(),
+        ShardConfig { shards: 2, workers_per_shard: workers, force_wire: false },
+    );
     let (oa1, oa2) = make_agents(db, policy);
     cluster.register_owner(&db.root_path(), SiteAddr(1));
     cluster.register_owner(&db.neighborhood_path(0, 1), SiteAddr(2));
-    cluster.add_site_with_workers(oa1, workers);
-    cluster.add_site_with_workers(oa2, workers);
+    cluster.add_site(oa1);
+    cluster.add_site(oa2);
+    cluster.start();
     let answers = query_mix(db)
         .iter()
         .map(|q| {
@@ -124,11 +129,11 @@ fn des_answers(db: &ParkingDb, policy: EvictionPolicy) -> (Vec<String>, irisnet_
 #[test]
 fn answers_byte_identical_across_policies_live_and_des() {
     let db = ParkingDb::generate(params(), 42);
-    let (baseline, _) = live_answers(&db, 0, EvictionPolicy::KeepForever);
+    let (baseline, _) = sharded_answers(&db, 0, EvictionPolicy::KeepForever);
     assert_eq!(baseline.len(), 36);
     for (name, policy) in policies() {
-        let (live, live_cs) = live_answers(&db, 2, policy);
-        assert_eq!(baseline, live, "live answers diverged under {name}");
+        let (sharded, sharded_cs) = sharded_answers(&db, 2, policy);
+        assert_eq!(baseline, sharded, "sharded answers diverged under {name}");
         let (des, des_cs) = des_answers(&db, policy);
         assert_eq!(baseline, des, "DES answers diverged under {name}");
         // Budgeted policies must actually exercise eviction in the DES
@@ -140,8 +145,9 @@ fn answers_byte_identical_across_policies_live_and_des() {
             );
         }
         // And never on the oracle's watch: evictions may differ between
-        // live and DES (wall clock vs virtual time), answers may not.
-        let _ = live_cs;
+        // the threaded run and DES (wall clock vs virtual time), answers
+        // may not.
+        let _ = sharded_cs;
     }
 }
 
@@ -153,7 +159,7 @@ fn enforcement_work_is_amortized_o_evicted_under_workers() {
     // rejects + fills), not O(tracked × queries) as the old full-scan
     // enforce was.
     let db = ParkingDb::generate(params(), 42);
-    let (_, cs) = live_answers(
+    let (_, cs) = sharded_answers(
         &db,
         2,
         EvictionPolicy::HeatWeighted { budget: CacheBudget::nodes(20) },

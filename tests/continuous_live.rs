@@ -1,4 +1,4 @@
-//! Continuous queries end to end on the live thread cluster: a subscriber
+//! Continuous queries end to end on the sharded runtime: a subscriber
 //! registers at the owner site and receives pushed answers as sensor
 //! updates change the result (§1's "directions are automatically updated",
 //! §7).
@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use irisdns::SiteAddr;
 use irisnet_core::{EvictionPolicy, IdPath, Message, OaConfig, OrganizingAgent, Service};
-use simnet::LiveCluster;
+use simnet::{ShardConfig, ShardedCluster};
 
 fn master() -> sensorxml::Document {
     sensorxml::parse(
@@ -40,24 +40,18 @@ const CQ: &str = "/usRegion[@id='NE']/state[@id='PA']/county[@id='A']/city[@id='
 #[test]
 fn subscriber_receives_initial_snapshot_and_pushes() {
     let service = Service::parking();
-    let mut cluster = LiveCluster::new(service.clone());
+    let mut cluster = ShardedCluster::with_config(
+        service.clone(),
+        ShardConfig { shards: 1, workers_per_shard: 0, force_wire: false },
+    );
     let root = IdPath::from_pairs([("usRegion", "NE")]);
     let oa = OrganizingAgent::new(SiteAddr(1), service.clone(), OaConfig::default());
     oa.db_mut().bootstrap_owned(&master(), &root, true).unwrap();
     cluster.register_owner(&root, SiteAddr(1));
     cluster.add_site(oa);
+    cluster.start();
 
-    // Subscribe through the raw message interface, listening on a reply
-    // channel via pose-like plumbing: use a dedicated endpoint and poll
-    // with pose_query_at-style a second normal query to flush ordering.
-    // The LiveCluster reply hub only tracks blocking queries, so register
-    // a long-lived listener through its lower-level API: subscribe, then
-    // drive updates, then verify with a plain query that state changed and
-    // with agent stats that pushes were produced.
-    cluster.send(
-        SiteAddr(1),
-        Message::Subscribe { qid: 77, text: CQ.to_string(), endpoint: irisnet_core::Endpoint(900) },
-    );
+    let (_, feed) = cluster.subscribe(SiteAddr(1), CQ);
     // Three updates: two real changes, one no-op repeat.
     let sp1 = block_path().child("parkingSpace", "1");
     for value in ["yes", "yes", "no"] {
@@ -69,21 +63,21 @@ fn subscriber_receives_initial_snapshot_and_pushes() {
             },
         );
     }
-    // A trailing blocking query guarantees the queue drained.
+    // A trailing blocking query on the same mailbox guarantees every
+    // update (and hence every push) was processed.
     let r = cluster
         .pose_query(CQ, Duration::from_secs(5))
         .expect("final query answered");
     assert_eq!(r.answer_xml, "<result/>"); // back to "no"
 
     let agents = cluster.shutdown();
-    let oa = &agents[0];
-    assert_eq!(oa.stats.updates_applied, 3);
-    // Initial snapshot (1 reply) + 2 change pushes; the repeated "yes" must
-    // not produce a push. answers_sent counts only gathered query answers,
-    // so count via the continuous registry's behaviour indirectly: the
-    // reply hub dropped them (no listener), which is fine — the state
-    // machine's outbound count is what we verify here.
-    // (Direct verification of pushes lives in the DES test below.)
+    assert_eq!(agents[0].stats.updates_applied, 3);
+    // Initial snapshot + 2 change pushes; the repeated "yes" must not push.
+    let pushed: Vec<String> = feed.try_iter().map(|(_, xml, _, _)| xml).collect();
+    assert_eq!(pushed.len(), 3, "pushes: {pushed:?}");
+    assert_eq!(pushed[0], "<result/>");
+    assert_eq!(pushed[1].matches("<parkingSpace").count(), 1);
+    assert_eq!(pushed[2], "<result/>");
 }
 
 #[test]

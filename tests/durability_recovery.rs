@@ -1,7 +1,7 @@
 //! The PR 8 recovery test plane: crash → restart now replays snapshot +
 //! WAL tail instead of starting empty.
 //!
-//! Scenarios, across all three substrates:
+//! Scenarios, across both substrates:
 //!
 //! * **DES** — deterministic crash/restart: a site is removed mid-run
 //!   (amnesia — the agent is dropped), queries degrade to
@@ -9,12 +9,11 @@
 //!   backend and the same queries heal, including an update that only
 //!   ever lived in the WAL tail. A restart-from-log vs restart-empty
 //!   ablation pins down that it is the log doing the healing.
-//! * **Live** — the ISSUE headline: with a `File` backend a killed site
-//!   thread is restarted from snapshot + WAL tail, `check_invariants()`
-//!   holds on the recovered database, and previously-partial answers heal
-//!   byte-identically to the DES oracle.
-//! * **Sharded** — the same crash/restart cycle through the runtime's
-//!   mid-run `stop_site`/`restart_site` attach/detach envelopes.
+//! * **Sharded** — with a `File` backend a stopped site is restarted from
+//!   snapshot + WAL tail through the runtime's mid-run
+//!   `stop_site`/`restart_site` attach/detach envelopes,
+//!   `check_invariants()` holds on the recovered database, and
+//!   previously-partial answers heal byte-identically to the DES oracle.
 //! * **Ablation** — durability on vs off is invisible to answers while
 //!   the site is up: byte-identical replies.
 
@@ -29,8 +28,7 @@ use irisnet_core::{
     StorageBackend,
 };
 use simnet::{
-    CostModel, DesCluster, FaultPlan, LiveCluster, ShardConfig, ShardedCluster,
-    UnclaimedReply,
+    CostModel, DesCluster, FaultPlan, ShardConfig, ShardedCluster, UnclaimedReply,
 };
 
 const Q_BOTH: &str = "/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']\
@@ -53,8 +51,8 @@ fn config() -> OaConfig {
     }
 }
 
-/// Live-runtime config: real-time retries, so partial answers arrive fast.
-fn live_config() -> OaConfig {
+/// Threaded-runtime config: real-time retries, so partial answers arrive fast.
+fn threaded_config() -> OaConfig {
     OaConfig {
         cache: CacheMode::Off,
         retry: RetryPolicy::bounded(0.05, 2),
@@ -266,11 +264,11 @@ fn durability_on_vs_off_answers_identical() {
 }
 
 // ---------------------------------------------------------------------
-// Live: the File-backend headline
+// Sharded: crash/restart through mid-run attach/detach
 // ---------------------------------------------------------------------
 
 #[test]
-fn live_file_backend_crash_restart_heals_and_matches_des_oracle() {
+fn sharded_crash_restart_heals() {
     let db = ParkingDb::generate(params(), 42);
     let carved = db.neighborhood_path(0, 1);
     let svc = db.service.clone();
@@ -281,50 +279,49 @@ fn live_file_backend_crash_restart_heals_and_matches_des_oracle() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut cluster = LiveCluster::new(svc.clone());
-    let (oa1, mut oa2) = carve(&db, &carved, live_config());
-    let stats = attach_backend(
-        &mut oa2,
-        Box::new(FileBackend::new(&dir).unwrap()),
-        0.0,
+    let mut cluster = ShardedCluster::with_config(
+        svc.clone(),
+        ShardConfig { shards: 2, workers_per_shard: 1, force_wire: true },
     );
+    let (oa1, mut oa2) = carve(&db, &carved, threaded_config());
+    let stats = attach_backend(&mut oa2, Box::new(FileBackend::new(&dir).unwrap()), 0.0);
     assert_eq!(stats, RecoveryStats::default());
     cluster.register_owner(&db.root_path(), SiteAddr(1));
     cluster.register_owner(&carved, SiteAddr(2));
     cluster.add_site(oa1);
     cluster.add_site(oa2);
+    cluster.start();
 
-    // Mid-run update: in site 2's mailbox (hence applied and WAL-logged)
-    // before the query's subquery arrives.
+    // Mid-run update: in site 2's shard mailbox (hence applied and
+    // WAL-logged) before the query's subquery arrives.
     cluster.send(SiteAddr(2), update_msg(&carved_space(&db)));
     let timeout = Duration::from_secs(30);
-    let pre = cluster.pose_query(Q_BOTH, timeout).expect("pre-crash reply");
+    let mut c = cluster.client();
+    let pre = c.pose_query(Q_BOTH, timeout).expect("pre-crash reply");
     assert!(pre.ok && !pre.partial, "pre-crash: {}", pre.answer_xml);
     assert!(pre.answer_xml.contains("77"), "update not applied: {}", pre.answer_xml);
 
-    // Kill the site thread and drop the agent: only the files survive.
+    // Detach the site and drop the agent: only the files survive.
     drop(cluster.stop_site(SiteAddr(2)).expect("site 2 running"));
-    let during = cluster.pose_query(Q_BOTH, timeout).expect("during-crash reply");
+    let during = c.pose_query(Q_BOTH, timeout).expect("during-crash reply");
     assert!(during.partial, "crash not visible: {}", during.answer_xml);
 
     // Restart from disk: snapshot + WAL tail.
-    let mut oa2b = OrganizingAgent::new(SiteAddr(2), svc.clone(), live_config());
-    let stats = attach_backend(
-        &mut oa2b,
-        Box::new(FileBackend::new(&dir).unwrap()),
-        0.0,
-    );
+    let mut oa2b = OrganizingAgent::new(SiteAddr(2), svc.clone(), threaded_config());
+    let stats = attach_backend(&mut oa2b, Box::new(FileBackend::new(&dir).unwrap()), 0.0);
     assert!(stats.snapshot_loaded, "no snapshot on disk");
     assert!(stats.records_replayed >= 1, "WAL tail not replayed from disk");
     oa2b.db().check_invariants(&db.master).expect("recovered invariants");
     cluster.restart_site(oa2b);
 
-    let post = cluster.pose_query(Q_BOTH, timeout).expect("post-restart reply");
+    let post = c.pose_query(Q_BOTH, timeout).expect("post-restart reply");
     assert!(post.ok && !post.partial, "did not heal: {}", post.answer_xml);
     assert_eq!(canon(&post.answer_xml), canon(&pre.answer_xml));
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 
-    // DES oracle: the same topology and update, no crash — the live
-    // healed answer must be byte-identical to the virtual-time answer.
+    // DES oracle: the same topology and update, no crash — the healed
+    // answer must be byte-identical to the virtual-time answer.
     let mut sim = DesCluster::new(CostModel::default());
     let (oa1, oa2) = carve(&db, &carved, config());
     sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
@@ -343,55 +340,6 @@ fn live_file_backend_crash_restart_heals_and_matches_des_oracle() {
     assert_eq!(
         canon(&post.answer_xml),
         canon(&oracle.answer_xml),
-        "live recovered answer diverged from the DES oracle"
+        "recovered answer diverged from the DES oracle"
     );
-
-    cluster.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------
-// Sharded: crash/restart through mid-run attach/detach
-// ---------------------------------------------------------------------
-
-#[test]
-fn sharded_crash_restart_heals() {
-    let db = ParkingDb::generate(params(), 42);
-    let carved = db.neighborhood_path(0, 1);
-    let svc = db.service.clone();
-    let backend = Arc::new(MemoryBackend::new());
-
-    let mut cluster = ShardedCluster::with_config(
-        svc.clone(),
-        ShardConfig { shards: 2, workers_per_shard: 1, force_wire: true },
-    );
-    let (oa1, mut oa2) = carve(&db, &carved, live_config());
-    attach_backend(&mut oa2, Box::new(backend.clone()), 0.0);
-    cluster.register_owner(&db.root_path(), SiteAddr(1));
-    cluster.register_owner(&carved, SiteAddr(2));
-    cluster.add_site(oa1);
-    cluster.add_site(oa2);
-    cluster.start();
-
-    cluster.send(SiteAddr(2), update_msg(&carved_space(&db)));
-    let timeout = Duration::from_secs(30);
-    let mut c = cluster.client();
-    let pre = c.pose_query(Q_BOTH, timeout).expect("pre-crash reply");
-    assert!(pre.ok && !pre.partial, "pre-crash: {}", pre.answer_xml);
-    assert!(pre.answer_xml.contains("77"));
-
-    drop(cluster.stop_site(SiteAddr(2)).expect("site 2 running"));
-    let during = c.pose_query(Q_BOTH, timeout).expect("during-crash reply");
-    assert!(during.partial, "crash not visible: {}", during.answer_xml);
-
-    let mut oa2b = OrganizingAgent::new(SiteAddr(2), svc, live_config());
-    let stats = attach_backend(&mut oa2b, Box::new(backend), 0.0);
-    assert!(stats.snapshot_loaded && stats.records_replayed >= 1);
-    oa2b.db().check_invariants(&db.master).expect("recovered invariants");
-    cluster.restart_site(oa2b);
-
-    let post = c.pose_query(Q_BOTH, timeout).expect("post-restart reply");
-    assert!(post.ok && !post.partial, "did not heal: {}", post.answer_xml);
-    assert_eq!(canon(&post.answer_xml), canon(&pre.answer_xml));
-    cluster.shutdown();
 }

@@ -1,16 +1,24 @@
-//! Sharded-runtime shutdown stress: stopping shards mid-workload must
-//! never strand a client. This ports the PR 3 shutdown-liveness guarantees
-//! to the multiplexed runtime — a stopping shard drains its queued read
-//! tasks with `SiteDown` completions and fails its still-gathering queries
-//! out loud, and surviving shards degrade to `partial="true"` answers once
-//! their retries to the dead sites abandon.
+//! Sharded-runtime stress.
+//!
+//! * Shutdown: stopping shards mid-workload must never strand a client. A
+//!   stopping shard drains its queued read tasks with `SiteDown`
+//!   completions and fails its still-gathering queries out loud, and
+//!   surviving shards degrade to `partial="true"` answers once their
+//!   retries to the dead sites abandon.
+//! * Migration storm: concurrent clients hammer a multi-site hierarchy
+//!   while sensing agents stream updates and the administrator bounces a
+//!   block between two sites — no deadlocks, no lost queries, every answer
+//!   well-formed, exactly one owner at the end.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use irisdns::SiteAddr;
 use irisnet_bench::{DbParams, ParkingDb, QueryType, Workload};
-use irisnet_core::{CacheMode, OaConfig, OrganizingAgent, RetryPolicy, Status};
+use irisnet_core::{
+    CacheMode, Message, OaConfig, OrganizingAgent, RetryPolicy, SensingAgent, Status,
+};
 use irisobs::MemRecorder;
 use simnet::{ShardConfig, ShardedCluster};
 
@@ -215,4 +223,130 @@ fn full_shutdown_races_clients_without_stranding_them() {
     // The cluster is gone by the time the dust settles, so the tail of
     // every client's stream must have hit the fail-fast path.
     assert!(down > 0, "no query ever observed the shutdown");
+}
+
+/// Seven sites — top, two cities, four neighborhoods — under six client
+/// threads (one `ShardClient` each), a sensing agent streaming 300 updates
+/// to the owners, and a block bounced between a neighborhood site and a
+/// city site six times.
+fn migration_storm(config: ShardConfig) {
+    let db = ParkingDb::generate(
+        DbParams { cities: 2, neighborhoods_per_city: 2, blocks_per_neighborhood: 4, spaces_per_block: 3 },
+        99,
+    );
+    let svc = db.service.clone();
+    let mut cluster = ShardedCluster::with_config(svc.clone(), config.clone());
+
+    // Hierarchical placement.
+    let top = OrganizingAgent::new(SiteAddr(1), svc.clone(), OaConfig::default());
+    top.db_mut().bootstrap_owned(&db.master, &db.root_path(), false).unwrap();
+    top.db_mut()
+        .bootstrap_owned(&db.master, &db.root_path().child("state", "PA"), false)
+        .unwrap();
+    top.db_mut().bootstrap_owned(&db.master, &db.county_path(), false).unwrap();
+    cluster.register_owner(&db.root_path(), SiteAddr(1));
+    cluster.add_site(top);
+    let mut next = 2u32;
+    for ci in 0..db.params.cities {
+        let a = OrganizingAgent::new(SiteAddr(next), svc.clone(), OaConfig::default());
+        a.db_mut().bootstrap_owned(&db.master, &db.city_path(ci), false).unwrap();
+        cluster.register_owner(&db.city_path(ci), SiteAddr(next));
+        cluster.add_site(a);
+        next += 1;
+    }
+    let mut nbhd_sites = Vec::new();
+    for ci in 0..db.params.cities {
+        for ni in 0..db.params.neighborhoods_per_city {
+            let a = OrganizingAgent::new(SiteAddr(next), svc.clone(), OaConfig::default());
+            a.db_mut()
+                .bootstrap_owned(&db.master, &db.neighborhood_path(ci, ni), true)
+                .unwrap();
+            cluster.register_owner(&db.neighborhood_path(ci, ni), SiteAddr(next));
+            cluster.add_site(a);
+            nbhd_sites.push(SiteAddr(next));
+            next += 1;
+        }
+    }
+    cluster.start();
+
+    let completed = AtomicU64::new(0);
+    let failures = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        // Updater: every space flips repeatedly, each update sent to the
+        // neighborhood site that owns it (segments: usRegion/state/county/
+        // city/neighborhood/...).
+        s.spawn(|| {
+            let mut sa = SensingAgent::new(db.all_space_paths(), nbhd_sites[0], 5);
+            for _ in 0..300 {
+                let Some((_, msg)) = sa.next_update() else { continue };
+                let Message::Update { path, .. } = &msg else { unreachable!() };
+                let seg = path.segments();
+                let ci = usize::from(seg[3].1 != "Pittsburgh");
+                let ni = seg[4].1.trim_start_matches('n').parse::<usize>().unwrap() - 1;
+                cluster.send(nbhd_sites[ci * 2 + ni], msg);
+            }
+        });
+
+        // Migrator: bounce a block between its neighborhood and a city site.
+        s.spawn(|| {
+            let block = db.block_path(0, 0, 0);
+            let owners = [nbhd_sites[0], SiteAddr(2)];
+            for round in 0..6 {
+                let (from, to) = (owners[round % 2], owners[(round + 1) % 2]);
+                cluster.send(from, Message::Delegate { path: block.clone(), to });
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+
+        // Clients: mixed queries, one handle per thread.
+        for c in 0..6u64 {
+            let mut client = cluster.client();
+            let (db, completed, failures) = (&db, &completed, &failures);
+            s.spawn(move || {
+                let mut w = Workload::qw_mix(db, 1000 + c);
+                for i in 0..40 {
+                    let q = if i % 7 == 0 {
+                        w.next_query_of(QueryType::T4)
+                    } else {
+                        w.next_query()
+                    };
+                    match client.pose_query(&q, Duration::from_secs(20)) {
+                        Some(r) if r.ok => {
+                            let doc = sensorxml::parse(&r.answer_xml).expect("answer parses");
+                            assert_eq!(doc.name(doc.root().unwrap()), "result");
+                            completed.fetch_add(1, Ordering::Relaxed);
+                        }
+                        _ => {
+                            failures.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            });
+        }
+    });
+    let failed = failures.load(Ordering::Relaxed);
+    assert_eq!(failed, 0, "{failed} queries failed at {config:?}");
+    assert_eq!(completed.load(Ordering::Relaxed), 240);
+
+    let agents = cluster.shutdown();
+    let updates: u64 = agents
+        .iter()
+        .map(|a| a.stats.updates_applied + a.stats.updates_forwarded)
+        .sum();
+    assert!(updates >= 300, "updates processed: {updates}");
+    // The bounced block ended up owned by exactly one site.
+    let block = db.block_path(0, 0, 0);
+    let owners = agents
+        .iter()
+        .filter(|a| a.db().status_at(&block) == Some(Status::Owned))
+        .count();
+    assert_eq!(owners, 1, "exactly one owner after migration storm at {config:?}");
+}
+
+#[test]
+fn concurrent_clients_updates_and_migrations() {
+    // One shard (and read-worker pool) per site, then every site
+    // multiplexed onto a single loop with inline reads.
+    migration_storm(ShardConfig { shards: 7, workers_per_shard: 2, force_wire: false });
+    migration_storm(ShardConfig { shards: 1, workers_per_shard: 0, force_wire: false });
 }

@@ -11,10 +11,9 @@
 //!
 //! * **Capture**: a chaos scenario that degrades a query to
 //!   `partial="true"` must land its complete span tree in the flight
-//!   recorder — retrievable via a remote scrape on each of the three
-//!   runtimes (DES virtual time, thread-per-site live, sharded event
-//!   loops over the wire) — and the dead site must read `unreachable` in
-//!   the health FSM.
+//!   recorder — retrievable via a remote scrape on both runtimes (DES
+//!   virtual time, sharded event loops over the wire) — and the dead site
+//!   must read `unreachable` in the health FSM.
 
 use std::time::Duration;
 
@@ -27,7 +26,7 @@ use irisobs::{
     check_well_formed, parse_payload, structure_digest, HealthState, MemRecorder,
     Recorder, SpanKind, TelemetryConfig, TelemetryRecorder, WHAT_ALL, WHAT_HEALTH,
 };
-use simnet::{CostModel, DesCluster, LiveCluster, ShardConfig, ShardedCluster};
+use simnet::{CostModel, DesCluster, ShardConfig, ShardedCluster};
 use std::sync::Arc;
 
 fn params() -> DbParams {
@@ -231,63 +230,9 @@ fn des_flight_recorder_captures_partial_query_via_scrape() {
     assert!(sim.scrape(SiteAddr(2), WHAT_HEALTH).is_none());
 }
 
-/// Live: same scenario on real threads, scraped through the reply plane;
-/// also exercises the site-to-site reply mode (`reply_to != 0`).
-#[test]
-fn live_flight_recorder_captures_partial_query_via_scrape() {
-    let db = ParkingDb::generate(params(), 42);
-    let tel = TelemetryRecorder::new();
-    let mut cluster = LiveCluster::new(db.service.clone());
-    cluster.set_recorder(tel.clone());
-    let (oa1, oa2) = make_agents(&db, config());
-    cluster.register_owner(&db.root_path(), SiteAddr(1));
-    cluster.register_owner(&db.neighborhood_path(0, 1), SiteAddr(2));
-    cluster.add_site(oa1);
-    cluster.add_site(oa2);
-
-    let q = Workload::uniform(&db, QueryType::T3, 11).next_query();
-    let warm = cluster.pose_query_at(&q, SiteAddr(1), Duration::from_secs(10)).unwrap();
-    assert!(warm.ok && !warm.partial, "warm query degraded: {}", warm.answer_xml);
-
-    // Site-to-site mode while both sites are up: site 2's payload lands in
-    // site 1's telemetry inbox, drained from the agent after shutdown.
-    cluster.send(
-        SiteAddr(2),
-        Message::TelemetryRequest {
-            qid: 900,
-            reply_to: SiteAddr(1),
-            endpoint: Endpoint(0),
-            what: WHAT_HEALTH,
-        },
-    );
-
-    drop(cluster.stop_site(SiteAddr(2)).expect("site 2 running"));
-    let degraded =
-        cluster.pose_query_at(&q, SiteAddr(1), Duration::from_secs(20)).unwrap();
-    assert!(degraded.partial, "dead site did not degrade: {}", degraded.answer_xml);
-
-    let payload = cluster
-        .scrape_site(SiteAddr(1), WHAT_ALL, Duration::from_secs(10))
-        .expect("live scrape timed out");
-    assert_partial_trace(&payload, "live");
-    assert_eq!(tel.plane().health(2), HealthState::Unreachable);
-    assert!(cluster
-        .scrape_site(SiteAddr(2), WHAT_HEALTH, Duration::from_secs(2))
-        .is_none());
-
-    let mut agents = cluster.shutdown();
-    let oa1 = agents
-        .iter_mut()
-        .find(|a| a.addr == SiteAddr(1))
-        .expect("site 1 agent returned");
-    let inbox = oa1.take_telemetry_replies();
-    assert_eq!(inbox.len(), 1, "site-to-site telemetry reply never arrived");
-    assert_eq!(inbox[0].0, 900);
-    let peer = parse_payload(&inbox[0].1).expect("inbox payload parses");
-    assert_eq!(peer.site, 2, "inbox payload describes the wrong site");
-}
-
-/// Sharded: the scrape request and reply frames cross the wire codec.
+/// Sharded: same scenario on real threads; the scrape request and reply
+/// frames cross the wire codec. Also exercises the site-to-site reply mode
+/// (`reply_to != 0`).
 #[test]
 fn sharded_flight_recorder_captures_partial_query_via_scrape() {
     let db = ParkingDb::generate(params(), 42);
@@ -308,6 +253,19 @@ fn sharded_flight_recorder_captures_partial_query_via_scrape() {
     let warm = cluster.pose_query_at(&q, SiteAddr(1), Duration::from_secs(10)).unwrap();
     assert!(warm.ok && !warm.partial, "warm query degraded: {}", warm.answer_xml);
 
+    // Site-to-site mode while both sites are up: site 2's payload lands in
+    // site 1's telemetry inbox, drained from the agent after shutdown. The
+    // request is queued on site 2's shard ahead of the detach below.
+    cluster.send(
+        SiteAddr(2),
+        Message::TelemetryRequest {
+            qid: 900,
+            reply_to: SiteAddr(1),
+            endpoint: Endpoint(0),
+            what: WHAT_HEALTH,
+        },
+    );
+
     drop(cluster.stop_site(SiteAddr(2)).expect("site 2 running"));
     let degraded =
         cluster.pose_query_at(&q, SiteAddr(1), Duration::from_secs(20)).unwrap();
@@ -322,5 +280,15 @@ fn sharded_flight_recorder_captures_partial_query_via_scrape() {
     assert!(client
         .scrape_site(SiteAddr(2), WHAT_HEALTH, Duration::from_secs(2))
         .is_none());
-    cluster.shutdown();
+
+    let mut agents = cluster.shutdown();
+    let oa1 = agents
+        .iter_mut()
+        .find(|a| a.addr == SiteAddr(1))
+        .expect("site 1 agent returned");
+    let inbox = oa1.take_telemetry_replies();
+    assert_eq!(inbox.len(), 1, "site-to-site telemetry reply never arrived");
+    assert_eq!(inbox[0].0, 900);
+    let peer = parse_payload(&inbox[0].1).expect("inbox payload parses");
+    assert_eq!(peer.site, 2, "inbox payload describes the wrong site");
 }

@@ -1,9 +1,9 @@
-//! DES-vs-live trace-shape equivalence.
+//! DES-vs-sharded trace-shape equivalence.
 //!
 //! Both substrates drive the same agent state machine, so the *structure*
 //! of a query's trace — which spans exist, how they nest, which sites they
 //! ran on, cache outcomes, partial flags — must be byte-identical between
-//! a DES run (virtual time) and a live run (threads, wall time) of the
+//! a DES run (virtual time) and a sharded run (threads, wall time) of the
 //! same workload. Only timings may differ, and the structure digest
 //! deliberately strips them.
 //!
@@ -22,7 +22,7 @@ use irisobs::{
     check_well_formed, explain_tree, render_explain, structure_digest, CacheOutcome,
     Forest, MemRecorder, SpanKind,
 };
-use simnet::{CostModel, DesCluster, LiveCluster, ShardConfig, ShardedCluster};
+use simnet::{CostModel, DesCluster, ShardConfig, ShardedCluster};
 
 fn params() -> DbParams {
     DbParams {
@@ -65,7 +65,7 @@ fn des_forest(db: &ParkingDb) -> Forest {
     for (i, q) in queries(db).iter().enumerate() {
         // 50 s apart: the second query runs strictly after the first
         // completed and filled the cache, mirroring the blocking poses of
-        // the live run.
+        // the sharded run.
         sim.schedule_message(
             i as f64 * 50.0,
             SiteAddr(1),
@@ -81,30 +81,8 @@ fn des_forest(db: &ParkingDb) -> Forest {
     check_well_formed(&rec.take_spans()).expect("DES forest well-formed")
 }
 
-fn live_forest(db: &ParkingDb) -> Forest {
-    let mut cluster = LiveCluster::new(db.service.clone());
-    let rec = MemRecorder::new();
-    cluster.set_recorder(rec.clone());
-    let (oa1, oa2) = make_agents(db);
-    cluster.register_owner(&db.root_path(), SiteAddr(1));
-    cluster.register_owner(&db.neighborhood_path(0, 1), SiteAddr(2));
-    cluster.add_site(oa1);
-    cluster.add_site(oa2);
-    for q in queries(db) {
-        let r = cluster
-            .pose_query_at(&q, SiteAddr(1), Duration::from_secs(10))
-            .expect("live reply");
-        assert!(r.ok, "live answer failed: {}", r.answer_xml);
-    }
-    cluster.shutdown();
-    check_well_formed(&rec.take_spans()).expect("live forest well-formed")
-}
-
-fn sharded_forest(db: &ParkingDb, shards: usize, force_wire: bool) -> Forest {
-    let mut cluster = ShardedCluster::with_config(
-        db.service.clone(),
-        ShardConfig { shards, workers_per_shard: 1, force_wire },
-    );
+fn sharded_forest(db: &ParkingDb, config: ShardConfig) -> Forest {
+    let mut cluster = ShardedCluster::with_config(db.service.clone(), config);
     let rec = MemRecorder::new();
     cluster.set_recorder(rec.clone());
     let (oa1, oa2) = make_agents(db);
@@ -124,35 +102,24 @@ fn sharded_forest(db: &ParkingDb, shards: usize, force_wire: bool) -> Forest {
 }
 
 #[test]
-fn des_and_live_traces_are_structurally_identical() {
-    let db = ParkingDb::generate(params(), 42);
-    let des = des_forest(&db);
-    let live = live_forest(&db);
-    assert_eq!(des.queries.len(), 2);
-    assert_eq!(live.queries.len(), 2);
-    for (i, (d, l)) in des.queries.iter().zip(live.queries.iter()).enumerate() {
-        let dd = structure_digest(d);
-        let ld = structure_digest(l);
-        assert_eq!(dd, ld, "query {i}: DES and live trace shapes diverged");
-    }
-}
-
-#[test]
 fn des_and_sharded_traces_are_structurally_identical() {
     // Span stitching must survive the multiplexed runtime and the wire
-    // boundary: same digests at 1, 2 and 8 shards, framed or not.
+    // boundary: same digests at 1, 2 and 8 shards, framed or not, with
+    // reads on the shard loop or on its workers.
     let db = ParkingDb::generate(params(), 42);
     let des = des_forest(&db);
     assert_eq!(des.queries.len(), 2);
-    for (shards, force_wire) in [(1, false), (2, true), (8, true)] {
-        let sharded = sharded_forest(&db, shards, force_wire);
-        assert_eq!(sharded.queries.len(), 2, "at {shards} shards");
+    for (shards, workers_per_shard, force_wire) in
+        [(1, 1, false), (2, 0, false), (2, 1, true), (8, 1, true)]
+    {
+        let config = ShardConfig { shards, workers_per_shard, force_wire };
+        let sharded = sharded_forest(&db, config.clone());
+        assert_eq!(sharded.queries.len(), 2, "at {config:?}");
         for (i, (d, s)) in des.queries.iter().zip(sharded.queries.iter()).enumerate() {
             assert_eq!(
                 structure_digest(d),
                 structure_digest(s),
-                "query {i}: DES and sharded ({shards} shards, wire={force_wire}) \
-                 trace shapes diverged"
+                "query {i}: DES and sharded ({config:?}) trace shapes diverged"
             );
         }
     }

@@ -1,18 +1,18 @@
-//! Worker-count and shard-count equivalence: neither the intra-site
-//! read-worker pool nor the sharded event-loop runtime may change *what* a
-//! site answers, only how fast. The same t1/t3 query mix, posed in the
-//! same order against identically bootstrapped clusters, must produce
-//! byte-identical canonical answers for worker counts 1, 2 and 8, for
-//! shard counts 1, 2 and 8 (with and without forced wire framing) — and
-//! must match the serial discrete-event simulator, which doubles as the
-//! correctness oracle.
+//! Worker-count and shard-count equivalence: neither the read-worker pool
+//! nor the way sites are multiplexed onto shard event loops may change
+//! *what* a site answers, only how fast. The same t1/t3 query mix, posed
+//! in the same order against identically bootstrapped clusters, must
+//! produce byte-identical canonical answers for worker counts 0, 1, 2 and
+//! 8 at one shard per site, for shard counts 1, 2 and 8 (with and without
+//! forced wire framing) — and must match the serial discrete-event
+//! simulator, which doubles as the correctness oracle.
 
 use std::time::Duration;
 
 use irisdns::SiteAddr;
 use irisnet_bench::{DbParams, ParkingDb, QueryType, Workload};
 use irisnet_core::{Endpoint, Message, OaConfig, OrganizingAgent, Status};
-use simnet::{CostModel, DesCluster, LiveCluster, ShardConfig, ShardedCluster};
+use simnet::{CostModel, DesCluster, ShardConfig, ShardedCluster};
 
 fn params() -> DbParams {
     DbParams {
@@ -52,25 +52,6 @@ fn canon(xml: &str) -> String {
     sensorxml::canonical_string(&doc, doc.root().unwrap())
 }
 
-fn live_answers(db: &ParkingDb, workers: usize) -> Vec<String> {
-    let mut cluster = LiveCluster::new(db.service.clone());
-    let (oa1, oa2) = make_agents(db);
-    cluster.register_owner(&db.root_path(), SiteAddr(1));
-    cluster.register_owner(&db.neighborhood_path(0, 1), SiteAddr(2));
-    cluster.add_site_with_workers(oa1, workers);
-    cluster.add_site_with_workers(oa2, workers);
-    let answers = query_mix(db)
-        .iter()
-        .map(|q| {
-            let r = cluster.pose_query(q, Duration::from_secs(30)).expect("reply");
-            assert!(r.ok, "query failed at {workers} workers: {q}: {}", r.answer_xml);
-            canon(&r.answer_xml)
-        })
-        .collect();
-    cluster.shutdown();
-    answers
-}
-
 fn sharded_answers(
     db: &ParkingDb,
     shards: usize,
@@ -103,13 +84,43 @@ fn sharded_answers(
     answers
 }
 
+
+/// The DES run of the same mix, spaced far enough apart that each query
+/// drains before the next is posed (matching the sequential clients).
+/// Unregistered endpoints land in the unclaimed-reply bin, in order.
+fn des_answers(db: &ParkingDb) -> Vec<String> {
+    let mut sim = DesCluster::new(CostModel::default());
+    let (oa1, oa2) = make_agents(db);
+    let svc = db.service.clone();
+    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
+    sim.dns
+        .register(&svc.dns_name(&db.neighborhood_path(0, 1)), SiteAddr(2));
+    sim.add_site(oa1);
+    sim.add_site(oa2);
+    let queries = query_mix(db);
+    for (i, q) in queries.iter().enumerate() {
+        sim.schedule_message(
+            i as f64 * 50.0,
+            SiteAddr(1),
+            Message::UserQuery {
+                qid: i as u64 + 1,
+                text: q.clone(),
+                endpoint: Endpoint(10_000 + i as u64),
+            },
+        );
+    }
+    sim.run_until(queries.len() as f64 * 50.0 + 50.0);
+    sim.take_unclaimed_replies().iter().map(|x| canon(x)).collect()
+}
+
 #[test]
 fn answers_identical_across_worker_counts() {
+    // One shard per site: each site's read workers are its own pool.
     let db = ParkingDb::generate(params(), 42);
-    let serial = live_answers(&db, 0);
+    let serial = sharded_answers(&db, 2, 0, false);
     assert_eq!(serial.len(), 24);
     for workers in [1, 2, 8] {
-        let got = live_answers(&db, workers);
+        let got = sharded_answers(&db, 2, workers, false);
         assert_eq!(serial, got, "answers diverged at {workers} workers");
     }
 }
@@ -117,7 +128,8 @@ fn answers_identical_across_worker_counts() {
 #[test]
 fn answers_identical_across_shard_counts() {
     let db = ParkingDb::generate(params(), 42);
-    let serial = live_answers(&db, 0);
+    // Inline reads on the shard loop (zero workers) are the serial path.
+    let serial = sharded_answers(&db, 2, 0, false);
     for shards in [1, 2, 8] {
         let got = sharded_answers(&db, shards, 1, false);
         assert_eq!(serial, got, "answers diverged at {shards} shards");
@@ -126,73 +138,18 @@ fn answers_identical_across_shard_counts() {
     // including same-shard ones.
     let wired = sharded_answers(&db, 2, 1, true);
     assert_eq!(serial, wired, "answers diverged under forced wire framing");
-    // Inline reads on the shard loop (zero workers) are the serial path.
-    let inline = sharded_answers(&db, 2, 0, false);
-    assert_eq!(serial, inline, "answers diverged with inline shard reads");
 }
 
 #[test]
 fn sharded_answers_match_des_oracle() {
     let db = ParkingDb::generate(params(), 42);
-    let sharded = sharded_answers(&db, 2, 1, true);
-
-    let mut sim = DesCluster::new(CostModel::default());
-    let (oa1, oa2) = make_agents(&db);
-    let svc = db.service.clone();
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-    sim.dns
-        .register(&svc.dns_name(&db.neighborhood_path(0, 1)), SiteAddr(2));
-    sim.add_site(oa1);
-    sim.add_site(oa2);
-    let queries = query_mix(&db);
-    for (i, q) in queries.iter().enumerate() {
-        sim.schedule_message(
-            i as f64 * 50.0,
-            SiteAddr(1),
-            Message::UserQuery {
-                qid: i as u64 + 1,
-                text: q.clone(),
-                endpoint: Endpoint(10_000 + i as u64),
-            },
+    let des = des_answers(&db);
+    for (shards, workers, force_wire) in [(2, 1, true), (2, 4, false)] {
+        let sharded = sharded_answers(&db, shards, workers, force_wire);
+        assert_eq!(
+            sharded, des,
+            "answers at {shards} shards x {workers} workers (wire={force_wire}) \
+             diverge from the DES oracle"
         );
     }
-    sim.run_until(queries.len() as f64 * 50.0 + 50.0);
-    let des: Vec<String> =
-        sim.take_unclaimed_replies().iter().map(|x| canon(x)).collect();
-    assert_eq!(sharded, des, "sharded runtime answers diverge from the DES oracle");
-}
-
-#[test]
-fn live_answers_match_des_oracle() {
-    let db = ParkingDb::generate(params(), 42);
-    let live = live_answers(&db, 4);
-
-    let mut sim = DesCluster::new(CostModel::default());
-    let (oa1, oa2) = make_agents(&db);
-    let svc = db.service.clone();
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-    sim.dns
-        .register(&svc.dns_name(&db.neighborhood_path(0, 1)), SiteAddr(2));
-    sim.add_site(oa1);
-    sim.add_site(oa2);
-
-    // Inject the same mix, spaced far enough apart that each query drains
-    // before the next is posed (matching the sequential live clients).
-    // Unregistered endpoints land in the unclaimed-reply bin, in order.
-    let queries = query_mix(&db);
-    for (i, q) in queries.iter().enumerate() {
-        sim.schedule_message(
-            i as f64 * 50.0,
-            SiteAddr(1),
-            Message::UserQuery {
-                qid: i as u64 + 1,
-                text: q.clone(),
-                endpoint: Endpoint(10_000 + i as u64),
-            },
-        );
-    }
-    sim.run_until(queries.len() as f64 * 50.0 + 50.0);
-    let des: Vec<String> =
-        sim.take_unclaimed_replies().iter().map(|x| canon(x)).collect();
-    assert_eq!(live, des, "live worker-pool answers diverge from the DES oracle");
 }
