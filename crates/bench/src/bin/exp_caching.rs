@@ -49,9 +49,9 @@ fn run_one(cfg: OaConfig, doc_scan_cpu: f64, mk: impl FnOnce(&ParkingDb) -> Work
 /// QW-Mix (the multi-site T3/T4 queries concentrate on the hot
 /// neighborhoods, so a budget that holds the hot set keeps the hit rate).
 ///
-/// Emits JSON (for `BENCH_PR6.json`) to the path given after
-/// `--budget-sweep`, or stdout-only when omitted. Duration/warmup are
-/// env-tunable (`CACHE_SWEEP_DURATION`, `CACHE_SWEEP_WARMUP`) so the
+/// Emits JSON (shaped like `results/history/BENCH_PR6.json`) to the path
+/// given after `--budget-sweep`, or stdout-only when omitted.
+/// Duration/warmup are env-tunable (`CACHE_SWEEP_DURATION`, `CACHE_SWEEP_WARMUP`) so the
 /// smoke script can run a short pass.
 fn budget_sweep(out_path: Option<&str>) {
     let duration: f64 = std::env::var("CACHE_SWEEP_DURATION")

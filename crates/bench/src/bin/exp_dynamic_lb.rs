@@ -6,10 +6,10 @@
 //! answering queries. Paper: average throughput roughly triples, with no
 //! downtime.
 
-use irisnet_bench::runner::run_throughput;
+use irisnet_bench::runner::{run_throughput, throughput_series};
 use irisnet_bench::{build_cluster, Arch, DbParams, ParkingDb, QueryType, Workload};
 use irisnet_core::{Message, OaConfig};
-use simnet::{throughput_series, ClientLoad, CostModel};
+use simnet::{ClientLoad, CostModel};
 
 const DURATION: f64 = 600.0;
 const MIGRATE_START: f64 = 206.0;

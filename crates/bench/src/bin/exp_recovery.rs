@@ -14,7 +14,8 @@
 //!   first half, so only `n/2` records replay (sealed segments beyond the
 //!   retention window are expired in O(1)).
 //!
-//! Emits `BENCH_PR8.json` to the path after `--out` (stdout otherwise).
+//! Emits a JSON report (shaped like `results/history/BENCH_PR8.json`) to
+//! the path after `--out` (stdout otherwise).
 
 use std::sync::Arc;
 

@@ -13,7 +13,8 @@
 //!    and harness threads, i.e. *not* grow with the 10,000 sites.
 //! 2. **Sweep**: qps and p50/p99 latency vs shard count × site count.
 //!
-//! Emits `BENCH_PR7.json` to the path after `--out` (stdout otherwise).
+//! Emits a JSON report (shaped like `results/history/BENCH_PR7.json`) to
+//! the path after `--out` (stdout otherwise).
 //! Env knobs (for `scale_smoke.sh`): `SCALE_HEADLINE_SITES`,
 //! `SCALE_SITES`, `SCALE_SHARDS`, `SCALE_CLIENTS`, `SCALE_QUERIES`,
 //! `SCALE_ZIPF`.
@@ -25,9 +26,8 @@ use std::time::{Duration, Instant};
 use irisdns::SiteAddr;
 use irisnet_bench::ScaleHierarchy;
 use irisnet_core::{Endpoint, Message, OaConfig};
-use simnet::{
-    latency_percentiles, CostModel, DesCluster, Percentiles, ShardConfig, ShardedCluster,
-};
+use irisobs::{latency_percentiles, Percentiles};
+use simnet::{CostModel, DesCluster, ShardConfig, ShardedCluster};
 
 const EQUIVALENCE_QUERIES: usize = 24;
 

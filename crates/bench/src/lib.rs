@@ -3,7 +3,7 @@
 //! Workload generators, the four sensor-database architectures of the
 //! paper's Fig. 6, and the experiment harness reproducing every table and
 //! figure of the evaluation (§5). The experiment binaries live in
-//! `src/bin/exp_*.rs`; criterion micro-benches in `benches/`.
+//! `src/bin/exp_*.rs`; `exp_micro` is the Fig. 11 query-time breakdown.
 
 pub mod arch;
 pub mod parkingdb;

@@ -1,6 +1,8 @@
-//! Experiment harness helpers: throughput runs and table formatting.
+//! Experiment harness helpers: throughput runs, throughput windows and
+//! table formatting.
 
-use simnet::{latency_percentiles, CostModel, DesCluster, Percentiles};
+use irisobs::{latency_percentiles, Percentiles};
+use simnet::{CostModel, DesCluster};
 
 /// The calibrated cost model used by all throughput experiments.
 ///
@@ -62,6 +64,24 @@ pub fn run_throughput(sim: &mut DesCluster, duration: f64, warmup: f64) -> Throu
     }
 }
 
+/// Buckets completion timestamps into `window`-second bins, returning
+/// `(window start, completions per second)` pairs covering `[0, horizon)`.
+pub fn throughput_series(completions: &[f64], window: f64, horizon: f64) -> Vec<(f64, f64)> {
+    assert!(window > 0.0, "window must be positive");
+    let bins = (horizon / window).ceil() as usize;
+    let mut counts = vec![0u64; bins.max(1)];
+    for &t in completions {
+        if t >= 0.0 && t < horizon {
+            counts[(t / window) as usize] += 1;
+        }
+    }
+    counts
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| (i as f64 * window, c as f64 / window))
+        .collect()
+}
+
 /// Formats one row of a fixed-width results table.
 pub fn table_row(label: &str, values: &[f64]) -> String {
     let mut s = format!("{label:<50}");
@@ -94,5 +114,22 @@ mod tests {
         assert!(h.contains("---"));
         let r = table_row("Architecture 4", &[61.25, 43.0]);
         assert!(r.contains("61.2") || r.contains("61.3"));
+    }
+
+    #[test]
+    fn throughput_bins() {
+        let completions = vec![0.1, 0.2, 1.5, 2.9];
+        let series = throughput_series(&completions, 1.0, 3.0);
+        assert_eq!(series.len(), 3);
+        assert_eq!(series[0], (0.0, 2.0));
+        assert_eq!(series[1], (1.0, 1.0));
+        assert_eq!(series[2], (2.0, 1.0));
+    }
+
+    #[test]
+    fn throughput_ignores_out_of_horizon() {
+        let series = throughput_series(&[5.0, -1.0, 0.5], 1.0, 2.0);
+        assert_eq!(series[0].1, 1.0);
+        assert_eq!(series[1].1, 0.0);
     }
 }

@@ -144,7 +144,11 @@ impl FaultFabric {
     }
 
     /// Applies the plan to one site-to-site message; surviving copies are
-    /// passed to `deliver` now or parked for the delayer thread.
+    /// passed to `deliver` now or parked for the delayer thread. The plan
+    /// decides every send, as the DES does; a crash window is checked when
+    /// a copy reaches the router (here for the immediate copy, in
+    /// [`FaultFabric::delayer_loop`] for parked ones), as the DES checks it
+    /// on arrival.
     pub(crate) fn send_site(
         &self,
         from: SiteAddr,
@@ -154,21 +158,15 @@ impl FaultFabric {
     ) {
         let decision = {
             let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            match g.as_mut() {
-                None => None,
-                Some(f) => {
-                    let now = self.epoch.elapsed().as_secs_f64();
-                    if f.site_down(to, now) {
-                        f.counts.crash_drops += 1;
-                        return;
-                    }
-                    Some((f.decide(from, to), f.plan().dup_extra_delay))
-                }
-            }
+            g.as_mut().map(|f| {
+                let d = f.decide(from, to);
+                let now_lost = !d.drop && d.extra_delay == 0.0 && self.crash_drop(f, to);
+                (d, f.plan().dup_extra_delay, now_lost)
+            })
         };
         match decision {
             None => deliver(to, msg),
-            Some((d, dup_extra)) => {
+            Some((d, dup_extra, now_lost)) => {
                 if d.drop {
                     return;
                 }
@@ -179,11 +177,20 @@ impl FaultFabric {
                 }
                 if d.extra_delay > 0.0 {
                     self.park(Instant::now() + Duration::from_secs_f64(d.extra_delay), to, msg);
-                } else {
+                } else if !now_lost {
                     deliver(to, msg);
                 }
             }
         }
+    }
+
+    /// True (and counted) if `to` is inside a crash window right now.
+    fn crash_drop(&self, f: &mut FaultState, to: SiteAddr) -> bool {
+        let down = f.site_down(to, self.epoch.elapsed().as_secs_f64());
+        if down {
+            f.counts.crash_drops += 1;
+        }
+        down
     }
 
     /// Wakes the delayer loop and makes it exit, dropping anything still
@@ -195,7 +202,8 @@ impl FaultFabric {
     }
 
     /// The delayer thread body: delivers parked messages when they come
-    /// due; exits on [`FaultFabric::close`].
+    /// due, unless their destination is crashed by then; exits on
+    /// [`FaultFabric::close`].
     pub(crate) fn delayer_loop(&self, deliver: impl Fn(SiteAddr, Message)) {
         let mut g = self.delayed.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -209,7 +217,13 @@ impl FaultFabric {
                     if d.due <= now {
                         let Some(Reverse(d)) = g.pop() else { continue };
                         drop(g);
-                        deliver(d.to, d.msg);
+                        let lost = {
+                            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+                            st.as_mut().is_some_and(|f| self.crash_drop(f, d.to))
+                        };
+                        if !lost {
+                            deliver(d.to, d.msg);
+                        }
                         g = self.delayed.lock().unwrap_or_else(|e| e.into_inner());
                         continue;
                     }
@@ -226,5 +240,58 @@ impl FaultFabric {
                 }
             };
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn crash_window_keeps_decisions_in_step_with_the_des() {
+        let plan = FaultPlan {
+            seed: 5,
+            drop_prob: 0.3,
+            dup_prob: 0.3,
+            delay_prob: 0.3,
+            max_extra_delay: 0.002,
+            dup_extra_delay: 0.001,
+            ..FaultPlan::reliable()
+        }
+        .with_crash(SiteAddr(2), 0.0, f64::INFINITY);
+        let fabric = FaultFabric::new(Instant::now());
+        fabric.install(plan.clone());
+        let delivered = AtomicUsize::new(0);
+        let deliver = |_: SiteAddr, _: Message| {
+            delivered.fetch_add(1, Ordering::Relaxed);
+        };
+        // The DES decides every send, then loses each surviving copy
+        // (original and duplicate) to the crash window on arrival.
+        let mut des = FaultState::new(plan);
+        let mut copies = 0u64;
+        std::thread::scope(|s| {
+            s.spawn(|| fabric.delayer_loop(deliver));
+            for _ in 0..200 {
+                let msg = Message::Unsubscribe { qid: 1 };
+                fabric.send_site(SiteAddr(1), SiteAddr(2), msg, deliver);
+                let d = des.decide(SiteAddr(1), SiteAddr(2));
+                if !d.drop {
+                    copies += 1 + u64::from(d.duplicate);
+                }
+            }
+            while !fabric.delayed.lock().unwrap().is_empty() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            fabric.close();
+        });
+        let (got, want) = (fabric.counts(), des.counts);
+        assert!(want.dropped > 0 && want.duplicated > 0 && want.delayed > 0);
+        assert_eq!(
+            (got.dropped, got.duplicated, got.delayed),
+            (want.dropped, want.duplicated, want.delayed)
+        );
+        assert_eq!(got.crash_drops, copies);
+        assert_eq!(delivered.load(Ordering::Relaxed), 0);
     }
 }

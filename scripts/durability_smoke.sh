@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Durability smoke: the PR 8 recovery stress in release mode (~2 min after
+# Durability smoke: the recovery stress in release mode (~2 min after
 # build). Three legs:
 #
 #  1. storage_prop at three fixed proptest seeds — torn-tail truncation /
@@ -8,8 +8,9 @@
 #     bytes stay pinned;
 #  2. the crash/restart recovery plane (DES, sharded File backend) +
 #     the crash-then-restart chaos-equivalence ablation;
-#  3. exp_recovery — jq-asserted bounds on replay: every cell replays its
-#     full expected tail, and no recovery takes longer than 2 s.
+#  3. exp_recovery — jq-asserted replay counts: every cell replays its
+#     full expected tail. Recovery time is priced by the repository
+#     benchmark (`storage.recovery_ms`), not here.
 #
 # A proptest failure replays exactly: rerun with the printed
 # PROPTEST_RNG_SEED.
@@ -46,28 +47,28 @@ run cargo test --release -q --test durability_recovery
 run cargo test --release -q --test partial_answers temporary_crash
 run cargo test --release -q --test chaos_equivalence crash_then_restart
 
-# Recovery-time bounds. exp_recovery asserts replay completeness
-# internally (records_replayed == expected per cell); here jq pins the
-# numbers the table is allowed to report.
+# Replay counts. exp_recovery asserts replay completeness internally
+# (records_replayed == expected per cell); here jq pins the counts the
+# table is allowed to report.
 run cargo build --release -q -p irisnet-bench --bin exp_recovery
-OUT=$(mktemp /tmp/bench_pr8.XXXXXX.json)
+OUT=$(mktemp /tmp/durability_smoke.XXXXXX.json)
 run ./target/release/exp_recovery --out "$OUT"
 if command -v jq >/dev/null 2>&1; then
-    echo "== durability_smoke: jq bounds on $OUT =="
+    echo "== durability_smoke: jq replay counts on $OUT =="
     if ! jq -e '
         (.results | length) == 12
-        and all(.results[]; .records_replayed >= 128 and .replay_ms < 2000)
+        and all(.results[]; .records_replayed >= 128)
         and all(.results[] | select(.mode == "wal-tail");
                 .records_replayed == .updates)
         and all(.results[] | select(.mode == "mid-snapshot");
                 .records_replayed * 2 == .updates)
     ' "$OUT" >/dev/null; then
         FAIL=1
-        echo "durability_smoke: replay bounds violated in $OUT" >&2
+        echo "durability_smoke: replay counts violated in $OUT" >&2
         jq '.results' "$OUT" >&2 || cat "$OUT" >&2
     fi
 else
-    echo "durability_smoke: jq not found, skipping bounds check" >&2
+    echo "durability_smoke: jq not found, skipping replay-count check" >&2
 fi
 rm -f "$OUT"
 
@@ -75,4 +76,4 @@ if [ "$FAIL" -ne 0 ]; then
     echo "durability_smoke: FAILURES (see above)" >&2
     exit 1
 fi
-echo "durability_smoke: all green (${#SEEDS[@]} seed sweeps + recovery planes + replay bounds)"
+echo "durability_smoke: all green (${#SEEDS[@]} seed sweeps + recovery planes + replay counts)"

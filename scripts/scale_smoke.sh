@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Sharded-runtime scale smoke (~2-3 min after a release build): proves the
-# PR 7 runtime end to end and regenerates BENCH_PR7.json.
+# sharded runtime end to end.
 #
 #  1. Correctness (release): answers byte-identical across shard counts
 #     {1,2,8} and vs the DES oracle (with and without forced wire
@@ -10,8 +10,8 @@
 #  2. exp_scale (release): a 10,000-site hierarchy under a Zipf QW-Mix —
 #     asserts in-process that the sharded answers match a DES replay
 #     byte-for-byte, samples the process's peak OS thread count, and
-#     sweeps qps/p50/p99 over shard count x site count; writes
-#     BENCH_PR7.json at the repo root.
+#     sweeps qps/p50/p99 over shard count x site count; the report goes
+#     to a temporary file.
 #  3. jq shape check, including the ROADMAP acceptance signal: OS threads
 #     <= thread_budget (shards + shard workers + delayer) + clients +
 #     harness const — i.e. thread count is set by cores, not by the
@@ -23,6 +23,8 @@ cd "$(dirname "$0")/.."
 
 HEADLINE="${1:-10000}"
 export PROPTEST_RNG_SEED="${PROPTEST_RNG_SEED:-1786}"
+REPORT="$(mktemp /tmp/scale_smoke.XXXXXX.json)"
+trap 'rm -f "$REPORT"' EXIT
 
 echo "== scale_smoke: build (release) =="
 cargo build --release -q -p simnet -p irisnet-bench --bin exp_scale || exit 1
@@ -36,10 +38,10 @@ cargo test --release -q --test wire_prop || exit 1
 echo "== scale_smoke: shutdown stress (stop shards mid-workload) =="
 cargo test --release -q --test shard_stress || exit 1
 
-echo "== scale_smoke: ${HEADLINE}-site headline + shard sweep -> BENCH_PR7.json =="
+echo "== scale_smoke: ${HEADLINE}-site headline + shard sweep -> $REPORT =="
 SCALE_HEADLINE_SITES="$HEADLINE" \
     cargo run --release -q -p irisnet-bench --bin exp_scale -- \
-    --out BENCH_PR7.json || exit 1
+    --out "$REPORT" || exit 1
 
 # Shape check. The thread bound is the acceptance criterion: the process's
 # peak OS thread count during the headline run must stay within the
@@ -57,9 +59,6 @@ jq -e --argjson headline "$HEADLINE" '
   and (.results | length) >= 4
   and ([.results[].shards] | unique | length) >= 2
   and all(.results[]; .qps > 0 and .p50_ms > 0 and .p99_ms >= .p50_ms)
-' BENCH_PR7.json > /dev/null \
-    || { echo "scale_smoke: BENCH_PR7.json validation failed" >&2; exit 1; }
-echo
-echo "== BENCH_PR7.json =="
-jq . BENCH_PR7.json
+' "$REPORT" > /dev/null \
+    || { echo "scale_smoke: report validation failed" >&2; jq . "$REPORT" >&2; exit 1; }
 echo "scale_smoke: all green"

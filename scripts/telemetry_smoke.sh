@@ -1,63 +1,30 @@
 #!/usr/bin/env bash
-# Telemetry smoke: exercises the continuous telemetry plane end to end and
-# guards its always-on cost (~1 min after a release build).
+# Telemetry smoke: exercises the continuous telemetry plane end to end
+# (~1 min after a release build).
 #
-#  1. exp_telemetry (release): hot-site A/B rounds with the telemetry
-#     plane absent vs attached; scrape latency/payload size across window
-#     depths 6/24/96; a forced-fault two-site run whose flight-recorder
-#     scrape payload is dumped as JSONL and re-validated here with jq —
-#     well-formed header, the `evicted + windowed == total` conservation
-#     law on every windowed counter, and a complete partial-triggered span
-#     tree whose span count matches its trace header.
-#  2. The paired on/off throughput guard: more than TELEMETRY_BUDGET_PCT
-#     (default 5) percent below the no-recorder run fails. The claim is
-#     one-sided (the plane is still *capable* of near-baseline throughput)
-#     and load noise only pushes runs down, so a bounded retry keeping the
-#     best attempt is sound.
-#  3. Writes BENCH_PR10.json at the repo root.
+# exp_telemetry (release): scrape latency/payload size across window
+# depths 6/24/96, and a forced-fault two-site run whose flight-recorder
+# scrape payload is dumped as JSONL and re-validated here with jq —
+# well-formed header, the `evicted + windowed == total` conservation law
+# on every windowed counter, and a complete partial-triggered span tree
+# whose span count matches its trace header. The plane's cost is priced
+# by the repository benchmark, not here.
 #
 # Usage: scripts/telemetry_smoke.sh
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET_PCT="${TELEMETRY_BUDGET_PCT:-5}"
 PAYLOAD="$(mktemp /tmp/telemetry_smoke.XXXXXX.jsonl)"
 RUN_JSON="$(mktemp /tmp/telemetry_smoke.XXXXXX.json)"
-trap 'rm -f "$PAYLOAD" "$RUN_JSON" "$RUN_JSON.try"' EXIT
+trap 'rm -f "$PAYLOAD" "$RUN_JSON"' EXIT
 
 echo "== telemetry_smoke: build (release) =="
 cargo build --release -q -p irisnet-bench --bin exp_telemetry || exit 1
 
-echo "== telemetry_smoke: exp_telemetry (on/off budget ${BUDGET_PCT}%) =="
-ATTEMPTS="${TELEMETRY_GUARD_ATTEMPTS:-3}"
-VERDICT=""
-STATUS=1
-BEST_COST=""
-for attempt in $(seq 1 "$ATTEMPTS"); do
-    cargo run --release -q -p irisnet-bench --bin exp_telemetry -- "$PAYLOAD" \
-        > "$RUN_JSON.try" || exit 1
-    OFF_QPS="$(jq -r '.off_qps' "$RUN_JSON.try")"
-    ON_QPS="$(jq -r '.on_qps' "$RUN_JSON.try")"
-    COST_PCT="$(jq -r '.telemetry_cost_pct' "$RUN_JSON.try")"
-    # Keep the attempt with the lowest paired cost — that is the least
-    # noise-polluted estimate of the plane's true overhead.
-    if [ -z "$BEST_COST" ] || jq -e -n --argjson c "$COST_PCT" --argjson b "$BEST_COST" \
-        '$c < $b' > /dev/null; then
-        BEST_COST="$COST_PCT"
-        cp "$RUN_JSON.try" "$RUN_JSON"
-    fi
-    if jq -e -n --argjson on "$ON_QPS" --argjson off "$OFF_QPS" --argjson pct "$BUDGET_PCT" \
-        '$on >= $off * (1 - $pct / 100)' > /dev/null; then
-        VERDICT="pass (on ${ON_QPS} qps vs off ${OFF_QPS} qps, cost ${COST_PCT}%, attempt ${attempt}/${ATTEMPTS})"
-        STATUS=0
-        break
-    fi
-    VERDICT="FAIL (telemetry cost ${BEST_COST}% > budget ${BUDGET_PCT}% after ${attempt} attempts)"
-    echo "telemetry_smoke: attempt ${attempt}: cost ${COST_PCT}% above budget, retrying" >&2
-done
-rm -f "$RUN_JSON.try"
+echo "== telemetry_smoke: exp_telemetry -> $RUN_JSON =="
+cargo run --release -q -p irisnet-bench --bin exp_telemetry -- "$PAYLOAD" \
+    > "$RUN_JSON" || exit 1
 cat "$RUN_JSON"
-echo "telemetry_smoke: overhead guard: $VERDICT"
 
 # The run JSON itself must report a captured partial trace, the dead site
 # unreachable, and a non-empty scrape table across all three depths.
@@ -88,22 +55,4 @@ jq -e -s '
     || { echo "telemetry_smoke: scrape payload validation failed for $PAYLOAD" >&2; exit 1; }
 echo "telemetry_smoke: scrape payload valid ($(wc -l < "$PAYLOAD") lines, flight dump non-empty)"
 
-jq -n \
-    --slurpfile r "$RUN_JSON" \
-    --argjson budget "$BUDGET_PCT" \
-    --arg verdict "$VERDICT" \
-    '{
-      generated_by: "scripts/telemetry_smoke.sh",
-      telemetry: $r[0],
-      overhead_guard: {
-        budget_pct: $budget,
-        verdict: $verdict
-      }
-    }' > BENCH_PR10.json
-echo "telemetry_smoke: wrote BENCH_PR10.json"
-
-if [ "$STATUS" -ne 0 ]; then
-    echo "telemetry_smoke: FAILED (telemetry cost above budget; single runs wobble — rerun on a quiet machine before trusting it)" >&2
-    exit 1
-fi
 echo "telemetry_smoke: all green"
