@@ -3,13 +3,15 @@
 //! A type 1 query (one block) is artificially routed to the site owning
 //! (i) the county, (ii) the city, (iii) the neighborhood — the
 //! neighborhood is the owner of the data, so (iii) is what self-starting
-//! routing does. Three settings, as in the paper:
+//! routing does. The paper's three settings, plus the repo's default
+//! engine:
 //!
 //! * small database, naive XSLT creation;
 //! * small database, fast (precompiled-skeleton) XSLT creation;
+//! * small database, native executor (plan-driven walk, no program);
 //! * large (8×) database, fast creation.
 //!
-//! Reported: per-query breakdown across creating the XSLT program,
+//! Reported: per-query breakdown across creating the QEG program,
 //! executing it, communication CPU (wire (de)serialization), and rest —
 //! on the **sharded runtime** at one shard per site (real threads, real
 //! engine, wall-clock time).
@@ -22,7 +24,7 @@ use std::time::Duration;
 
 use irisdns::SiteAddr;
 use irisnet_bench::{DbParams, ParkingDb};
-use irisnet_core::{CacheMode, OaConfig, OrganizingAgent, XsltCreation};
+use irisnet_core::{CacheMode, OaConfig, OrganizingAgent, QegEngine};
 use simnet::{ShardConfig, ShardedCluster};
 
 struct Built {
@@ -33,11 +35,11 @@ struct Built {
 }
 
 /// Hierarchical (Architecture 4) placement, one shard event loop per site.
-fn build(db: &ParkingDb, creation: XsltCreation) -> Built {
+fn build(db: &ParkingDb, engine: QegEngine) -> Built {
     // Caching is disabled so that every query pays its true routing cost
     // (the paper's micro-benchmark measures the gathering path, not the
     // cache).
-    let config = OaConfig { creation, cache: CacheMode::Off, ..OaConfig::default() };
+    let config = OaConfig { engine, cache: CacheMode::Off, ..OaConfig::default() };
     let sites = 1 + db.params.cities * (1 + db.params.neighborhoods_per_city);
     let mut cluster = ShardedCluster::with_config(
         db.service.clone(),
@@ -94,8 +96,8 @@ struct Breakdown {
     rest_ms: f64,
 }
 
-fn measure(db: &ParkingDb, creation: XsltCreation, level: usize, n: u64) -> Breakdown {
-    let built = build(db, creation);
+fn measure(db: &ParkingDb, engine: QegEngine, level: usize, n: u64) -> Breakdown {
+    let built = build(db, engine);
     let cluster = built.cluster;
     let target = [built.county_site, built.city_site, built.nbhd_site][level];
     let q = "/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']\
@@ -141,20 +143,21 @@ fn main() {
     println!("== Fig. 11: micro-benchmarks — query time breakdown (ms/query) ==");
     println!("(type 1 query injected at (i) county, (ii) city, (iii) neighborhood site)\n");
     let n = 200;
-    let settings: Vec<(&str, DbParams, XsltCreation)> = vec![
-        ("Small DB, naive XSLT creation", DbParams::small(), XsltCreation::Naive),
-        ("Small DB, fast XSLT creation", DbParams::small(), XsltCreation::Fast),
-        ("Large DB (8x), fast XSLT creation", DbParams::large(), XsltCreation::Fast),
+    let settings: Vec<(&str, DbParams, QegEngine)> = vec![
+        ("Small DB, naive XSLT creation", DbParams::small(), QegEngine::XsltNaive),
+        ("Small DB, fast XSLT creation", DbParams::small(), QegEngine::XsltFast),
+        ("Small DB, native executor", DbParams::small(), QegEngine::Native),
+        ("Large DB (8x), fast XSLT creation", DbParams::large(), QegEngine::XsltFast),
     ];
     println!(
         "{:<36} {:>6} {:>9} {:>9} {:>9} {:>7} {:>8}",
         "Setting", "level", "create", "exec", "comm", "rest", "total"
     );
     println!("{}", "-".repeat(90));
-    for (label, params, creation) in settings {
+    for (label, params, engine) in settings {
         let db = ParkingDb::generate(params, 1);
         for (li, lname) in ["(i)", "(ii)", "(iii)"].iter().enumerate() {
-            let b = measure(&db, creation, li, n);
+            let b = measure(&db, engine, li, n);
             println!(
                 "{:<36} {:>6} {:>8.2}m {:>8.2}m {:>8.2}m {:>6.2}m {:>7.2}m",
                 if li == 0 { label } else { "" },

@@ -13,9 +13,9 @@
 //! [`OrganizingAgent::handle_split`]) keeps *exclusive* charge of all
 //! mutable state — the pending-query table (`pending`, `asked`,
 //! `outstanding`), fragment merges, updates, evictions, and migration —
-//! while QEG program creation/execution and answer serialization are
-//! emitted as [`ReadTask`]s that only need a read-locked
-//! [`SiteDatabase`] snapshot and the shared [`QegFactory`]. A substrate
+//! while QEG passes and answer serialization are emitted as [`ReadTask`]s
+//! that only need a read-locked [`SiteDatabase`] snapshot and the shared
+//! [`QegFactory`]. A substrate
 //! can run those tasks on worker threads ([`perform_read`]) and funnel
 //! each [`ReadDone`] back into [`OrganizingAgent::complete_read`] on the
 //! owner loop; or it can drain them inline ([`OrganizingAgent::handle`]),
@@ -44,7 +44,7 @@ use crate::idable::IdPath;
 use crate::obs::ObsPlane;
 use crate::qeg::{
     extract_user_answer, generalized_subquery, literal_subquery, matched_final_paths, plan_query,
-    Ask, AskKind, QegFactory, QueryPlan, XsltCreation,
+    Ask, AskKind, QegEngine, QegFactory, QueryPlan,
 };
 use crate::routing::lca_id_path;
 use crate::service::Service;
@@ -139,14 +139,14 @@ pub struct ReadTask {
 #[derive(Debug, Clone)]
 pub enum ReadTaskKind {
     /// Create the QEG program and run one evaluate pass.
-    Execute { plan: QueryPlan, ignore_complete: bool },
+    Execute { plan: Arc<QueryPlan>, ignore_complete: bool },
     /// Extract and serialize the final user answer. `failed` carries the
     /// coalesced covering paths of subtrees whose retries were exhausted;
     /// they are stamped into the answer as `partial="true"` stub nodes.
-    FinalizeUser { plan: QueryPlan, endpoint: Endpoint, qid: QueryId, failed: Vec<IdPath> },
+    FinalizeUser { plan: Arc<QueryPlan>, endpoint: Endpoint, qid: QueryId, failed: Vec<IdPath> },
     /// Export and serialize the subquery answer fragment. `partial` marks
     /// a fragment assembled with unreachable subtrees missing.
-    FinalizeSite { plan: QueryPlan, addr: SiteAddr, qid: QueryId, partial: bool },
+    FinalizeSite { plan: Arc<QueryPlan>, addr: SiteAddr, qid: QueryId, partial: bool },
 }
 
 /// The completion record of a [`ReadTask`], handed back to the owner loop
@@ -218,20 +218,11 @@ pub fn perform_read(task: &ReadTask, qeg: &QegFactory, db: &SiteDatabase) -> Rea
     };
     done.result = match &task.kind {
         ReadTaskKind::Execute { plan, ignore_complete } => {
-            let t0 = Instant::now();
-            match qeg.create_with(plan, *ignore_complete) {
-                Ok(program) => {
-                    done.time_create = t0.elapsed().as_secs_f64();
-                    let t1 = Instant::now();
-                    match program.execute(db, task.posed_at) {
-                        Ok(outcome) => {
-                            done.time_exec = t1.elapsed().as_secs_f64();
-                            ReadResult::Executed { asks: outcome.asks }
-                        }
-                        Err(e) => ReadResult::ExecError {
-                            error_xml: format!("<error>{e}</error>"),
-                        },
-                    }
+            match qeg.run(plan, db, task.posed_at, *ignore_complete) {
+                Ok(pass) => {
+                    done.time_create = pass.create_s;
+                    done.time_exec = pass.exec_s;
+                    ReadResult::Executed { asks: pass.asks }
                 }
                 Err(e) => ReadResult::ExecError { error_xml: format!("<error>{e}</error>") },
             }
@@ -399,7 +390,9 @@ impl Default for RetryPolicy {
 #[derive(Debug, Clone)]
 pub struct OaConfig {
     pub cache: CacheMode,
-    pub creation: XsltCreation,
+    /// How QEG passes run: the native walk (default), or the paper's XSLT
+    /// program with fast or naive creation (the oracle and Fig. 11 arms).
+    pub engine: QegEngine,
     /// DNS resolver cache TTL (seconds).
     pub dns_ttl: f64,
     /// Maximum gather iterations per query before answering with whatever
@@ -430,7 +423,7 @@ impl Default for OaConfig {
     fn default() -> Self {
         OaConfig {
             cache: CacheMode::Aggressive,
-            creation: XsltCreation::Fast,
+            engine: QegEngine::Native,
             dns_ttl: 60.0,
             max_iterations: 16,
             cache_hit_prob: 1.0,
@@ -492,7 +485,9 @@ struct RetryState {
 
 #[derive(Debug)]
 struct Pending {
-    plan: QueryPlan,
+    /// Shared with every read task of the query: a pass clones a pointer,
+    /// not the plan's expression trees.
+    plan: Arc<QueryPlan>,
     /// Whether this query may use cached data (drawn per query from
     /// `cache_hit_prob`).
     use_cache: bool,
@@ -532,8 +527,9 @@ pub struct OrganizingAgent {
     db: Arc<RwLock<SiteDatabase>>,
     pub config: OaConfig,
     pub stats: OaStats,
-    /// Shared across read workers; its skeleton cache has interior
-    /// mutability so Fast-creation hits don't serialize the pool.
+    /// Shared across read workers; under the XSLT engines its skeleton
+    /// cache has interior mutability so fast-creation hits don't serialize
+    /// the pool.
     qeg: Arc<QegFactory>,
     resolver: CachingResolver,
     pending: HashMap<QueryId, Pending>,
@@ -586,7 +582,7 @@ impl OrganizingAgent {
             addr,
             service: service.clone(),
             db: Arc::new(RwLock::new(SiteDatabase::new(service.clone()))),
-            qeg: Arc::new(QegFactory::new(service, config.creation)),
+            qeg: Arc::new(QegFactory::new(service, config.engine)),
             resolver: CachingResolver::new(config.dns_ttl),
             config,
             stats: OaStats::default(),
@@ -1187,7 +1183,7 @@ impl OrganizingAgent {
         self.pending.insert(
             pid,
             Pending {
-                plan,
+                plan: Arc::new(plan),
                 use_cache,
                 origin,
                 outstanding: HashMap::new(),

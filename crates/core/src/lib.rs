@@ -11,8 +11,9 @@
 //! * [`idable`] — ID paths and local (ID) information (Defs. 3.1/3.2);
 //! * [`fragment`] — per-site databases, statuses, invariants I1/I2,
 //!   merging under C1/C2, eviction ([`fragment::SiteDatabase`]);
-//! * [`qeg`] — query-evaluate-gather: XPATH → XSLT compilation (naive and
-//!   fast), execution, subquery extraction (§3.5, §4);
+//! * [`qeg`] — query-evaluate-gather: query plans, the native plan-driven
+//!   walk, and the paper's XPATH → XSLT compilation (naive and fast) kept
+//!   as its oracle, subquery generation (§3.5, §4);
 //! * [`routing`] — self-starting distributed queries via DNS names derived
 //!   from the query text (§3.4);
 //! * [`agent`] — the organizing agent state machine (queries, subqueries,
@@ -46,7 +47,7 @@ pub use eviction::{
 pub use fragment::{FragmentStats, SiteDatabase, Status, UnitCost};
 pub use idable::IdPath;
 pub use obs::ObsPlane;
-pub use qeg::{QegFactory, QegOutcome, XsltCreation};
+pub use qeg::{QegEngine, QegFactory, QegOutcome, QegPass};
 pub use routing::lca_dns_name;
 pub use service::{Schema, Service};
 pub use storage::{

@@ -2,31 +2,42 @@
 //!
 //! Given an XPATH query, a site must detect (1) which locally stored data
 //! is part of the result and (2) how to gather the missing parts. XPATH
-//! itself cannot express this over the status-tagged fragment, so — exactly
-//! as the paper does — we *compile the query into an XSLT program* whose
-//! templates switch on each node's `status` attribute and either descend,
-//! or emit an `iris-ask` placeholder naming the node that must be fetched
-//! from its owner.
+//! itself cannot express this over the status-tagged fragment, so
+//! [`plan_query`] splits the query into distribution steps, each with its
+//! id / rest / consistency predicates, and a QEG pass switches on every
+//! visited node's `status` attribute: descend, or *ask* for the node from
+//! its owner ([`Ask`]).
 //!
-//! Two creation strategies reproduce the paper's Fig. 11 comparison:
+//! A [`QegFactory`] runs passes with one of three engines ([`QegEngine`]):
 //!
-//! * [`XsltCreation::Naive`] — render the stylesheet to XSLT *text*, then
-//!   parse and compile it from scratch (what the unoptimized prototype
-//!   did through standard interfaces);
-//! * [`XsltCreation::Fast`] — keep a compiled skeleton per query *shape*
-//!   and patch only the query-dependent XPath slots
-//!   ([`sensorxslt::Compiled::patch_slots`], the §4 optimization).
+//! * [`QegEngine::Native`] (the default) — `exec::execute` walks the site
+//!   database by plan and returns the asks directly: no program, no output
+//!   document, no re-scan;
+//! * [`QegEngine::XsltFast`] — the paper's technique: the plan compiled into
+//!   an XSLT program whose templates emit `iris-ask` placeholders, created
+//!   from a compiled skeleton per query *shape* with only the
+//!   query-dependent XPath slots patched
+//!   ([`sensorxslt::Compiled::patch_slots`], the §4 optimization), then
+//!   executed and scanned by [`extract_asks`];
+//! * [`QegEngine::XsltNaive`] — the same program rendered to XSLT *text*,
+//!   then parsed and compiled from scratch (what the unoptimized prototype
+//!   did through standard interfaces).
+//!
+//! The two XSLT engines are the native walk's differential oracle
+//! (`tests/qeg_native_prop.rs`: equal asks and errors) and the two arms of
+//! the paper's Fig. 11 creation ablation (`exp_micro`).
 //!
 //! The gather phase differs from the paper in one mechanical respect,
 //! documented in DESIGN.md: instead of splicing subquery answers into the
 //! annotated output, the agent *merges* answer fragments into its site
-//! database (the cache-fill of §3.3) and re-runs the QEG program until no
-//! placeholders remain; the final answer is then extracted from the now
-//! sufficient fragment. This is behaviourally equivalent and makes
-//! partial-match caching and answer assembly one mechanism.
+//! database (the cache-fill of §3.3) and re-runs the QEG pass until no
+//! asks remain; the final answer is then extracted from the now sufficient
+//! fragment. This is behaviourally equivalent and makes partial-match
+//! caching and answer assembly one mechanism.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use irisobs::Counter;
 use parking_lot::Mutex;
@@ -42,6 +53,8 @@ use crate::error::{CoreError, CoreResult};
 use crate::fragment::SiteDatabase;
 use crate::idable::IdPath;
 use crate::service::Service;
+
+mod exec;
 
 /// How one distribution step selects children.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,13 +80,62 @@ pub struct DistStep {
     /// False when some conjunct mixes id and non-id references, so `P_id`
     /// cannot be trusted as a pre-filter (§3.5 fallback).
     pub clean: bool,
+    /// The native executor's `P_id` test (`True` when not clean).
+    pub pid_test: StepTest,
+    /// The native executor's `P_id ∧ P_rest` test.
+    pub full_test: StepTest,
+    /// The native executor's `P_consistency` test (`None` when there is
+    /// none).
+    pub pcons_test: Option<StepTest>,
+}
+
+/// A conjunction of step predicates, compiled once per plan for the native
+/// executor. It evaluates exactly like the optimized conjunction the XSLT
+/// program embeds as text.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StepTest {
+    /// No conjuncts: `true()`.
+    True,
+    /// Exactly `@id = 'literal'`: one attribute comparison, no evaluator.
+    IdEquals(String),
+    /// Anything else: the optimized conjunction, for the XPath evaluator.
+    Expr(Expr),
+}
+
+impl StepTest {
+    fn of(preds: &[Expr]) -> StepTest {
+        match preds {
+            [] => StepTest::True,
+            [one] => match one.as_id_equals() {
+                Some(id) => StepTest::IdEquals(id.to_string()),
+                None => StepTest::Expr(sensorxpath::optimize(one)),
+            },
+            many => StepTest::Expr(sensorxpath::optimize(&Expr::conjunction(many.to_vec()))),
+        }
+    }
 }
 
 impl DistStep {
     fn from_step(step: &Step, kind: StepKind, ts_field: &str) -> DistStep {
         let SplitPredicates { id, consistency, rest, clean } =
             split_step_predicates(step, ts_field);
-        DistStep { kind, pid: id, prest: rest, pcons: consistency, clean }
+        let pid_test = StepTest::of(if clean { &id } else { &[] });
+        let full_test = if rest.is_empty() {
+            StepTest::of(&id)
+        } else {
+            StepTest::of(&[id.as_slice(), rest.as_slice()].concat())
+        };
+        let pcons_test = (!consistency.is_empty()).then(|| StepTest::of(&consistency));
+        DistStep {
+            kind,
+            pid: id,
+            prest: rest,
+            pcons: consistency,
+            clean,
+            pid_test,
+            full_test,
+            pcons_test,
+        }
     }
 
     fn pid_source(&self) -> String {
@@ -440,7 +502,7 @@ struct StepSlots {
     next_sel: Option<ExprSlot>,
 }
 
-/// A ready-to-run QEG program.
+/// A ready-to-run XSLT QEG program (the two XSLT engines).
 #[derive(Debug, Clone)]
 pub struct QegProgram {
     pub compiled: Compiled,
@@ -465,7 +527,7 @@ impl QegProgram {
     }
 }
 
-/// Result of one QEG run.
+/// Result of one XSLT QEG run.
 #[derive(Debug)]
 pub struct QegOutcome {
     /// The annotated XSLT output (copied id skeleton + `iris-ask`
@@ -533,14 +595,30 @@ pub fn extract_asks(output: &Document) -> CoreResult<Vec<Ask>> {
     Ok(asks)
 }
 
-/// XSLT creation strategy (paper Fig. 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum XsltCreation {
-    /// Render → parse → compile the full stylesheet per query.
-    Naive,
-    /// Reuse a compiled skeleton per query shape; re-parse only the
-    /// query-dependent predicate slots.
-    Fast,
+/// How a site runs its QEG passes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum QegEngine {
+    /// Walk the site database by plan (`exec::execute`); nothing is
+    /// created per query.
+    #[default]
+    Native,
+    /// The paper's XSLT program, created fast: reuse a compiled skeleton
+    /// per query shape and re-parse only the query-dependent predicate
+    /// slots (§4).
+    XsltFast,
+    /// The paper's XSLT program, created naively: render → parse → compile
+    /// the full stylesheet per query (Fig. 11's unoptimized arm).
+    XsltNaive,
+}
+
+/// One QEG pass's asks and its create/execute split (seconds).
+#[derive(Debug)]
+pub struct QegPass {
+    pub asks: Vec<Ask>,
+    /// Program creation time (≈ 0 for [`QegEngine::Native`]).
+    pub create_s: f64,
+    /// Execution time, ask extraction included.
+    pub exec_s: f64,
 }
 
 /// Upper bound on distinct query shapes kept by the fast-path skeleton
@@ -590,20 +668,23 @@ impl SkeletonCache {
     }
 }
 
-/// Creates QEG programs from query plans.
+/// Runs QEG passes with the configured [`QegEngine`], and creates the XSLT
+/// programs of the two XSLT engines.
 ///
 /// The factory is shared across read workers (`Arc<QegFactory>` in the
-/// live cluster): creation takes `&self`, the skeleton cache sits behind a
-/// mutex held only for lookup/insert (never across a compile), and the
+/// sharded runtime): creation takes `&self`, the skeleton cache sits behind
+/// a mutex held only for lookup/insert (never across a compile), and the
 /// counters are atomics. Fast-path cache *hits* therefore stay cheap and
 /// concurrent — a miss compiles outside the lock, so a burst of new shapes
-/// doesn't serialize the pool either.
+/// doesn't serialize the pool either. The native engine touches neither
+/// the cache nor the counters: `qeg.created` and the skeleton series read
+/// 0 under it.
 #[derive(Debug)]
 pub struct QegFactory {
     /// The service this factory generates programs for (kept for
     /// diagnostics; codegen itself is schema-independent).
     pub service: Arc<Service>,
-    creation: XsltCreation,
+    engine: QegEngine,
     skeletons: Mutex<SkeletonCache>,
     // Counters are `Arc<irisobs::Counter>` so the observability plane can
     // adopt the *same storage* as named series (no double counting, no
@@ -615,11 +696,11 @@ pub struct QegFactory {
 }
 
 impl QegFactory {
-    /// A factory for `service` with the given creation strategy.
-    pub fn new(service: Arc<Service>, creation: XsltCreation) -> QegFactory {
+    /// A factory for `service` running the given engine.
+    pub fn new(service: Arc<Service>, engine: QegEngine) -> QegFactory {
         QegFactory {
             service,
-            creation,
+            engine,
             skeletons: Mutex::new(SkeletonCache::default()),
             created: Arc::new(Counter::new()),
             skeleton_hits: Arc::new(Counter::new()),
@@ -639,12 +720,33 @@ impl QegFactory {
         ]
     }
 
-    /// The active creation strategy.
-    pub fn creation(&self) -> XsltCreation {
-        self.creation
+    /// The configured engine.
+    pub fn engine(&self) -> QegEngine {
+        self.engine
     }
 
-    /// Programs created (both strategies).
+    /// Runs one QEG pass over `db` for a query posed at `now`; with
+    /// `ignore_complete` cached (`complete`) data is treated as stale.
+    pub fn run(
+        &self,
+        plan: &QueryPlan,
+        db: &SiteDatabase,
+        now: f64,
+        ignore_complete: bool,
+    ) -> CoreResult<QegPass> {
+        let t0 = Instant::now();
+        if self.engine == QegEngine::Native {
+            let asks = exec::execute(plan, db, now, ignore_complete)?;
+            return Ok(QegPass { asks, create_s: 0.0, exec_s: t0.elapsed().as_secs_f64() });
+        }
+        let program = self.create_with(plan, ignore_complete)?;
+        let create_s = t0.elapsed().as_secs_f64();
+        let t1 = Instant::now();
+        let asks = program.execute(db, now)?.asks;
+        Ok(QegPass { asks, create_s, exec_s: t1.elapsed().as_secs_f64() })
+    }
+
+    /// XSLT programs created.
     pub fn created(&self) -> u64 {
         self.created.get()
     }
@@ -669,23 +771,26 @@ impl QegFactory {
         self.skeletons.lock().map.len()
     }
 
-    /// Builds the executable QEG program for a plan.
+    /// Builds the XSLT QEG program for a plan.
     pub fn create(&self, plan: &QueryPlan) -> CoreResult<QegProgram> {
         self.create_with(plan, false)
     }
 
-    /// Builds a QEG program; with `ignore_complete` the generated program
-    /// treats cached (`complete`) data as stale and always refreshes from
-    /// the owner — the lever behind the paper's controlled cache-hit-rate
-    /// experiments (Fig. 10's "caching with no hits").
+    /// Builds an XSLT QEG program — naively under [`QegEngine::XsltNaive`],
+    /// from the skeleton cache otherwise (a native factory asked for its
+    /// oracle program uses the fast path). With `ignore_complete` the
+    /// generated program treats cached (`complete`) data as stale and
+    /// always refreshes from the owner — the lever behind the paper's
+    /// controlled cache-hit-rate experiments (Fig. 10's "caching with no
+    /// hits").
     pub fn create_with(
         &self,
         plan: &QueryPlan,
         ignore_complete: bool,
     ) -> CoreResult<QegProgram> {
         self.created.inc();
-        match self.creation {
-            XsltCreation::Naive => {
+        match self.engine {
+            QegEngine::XsltNaive => {
                 // Full round trip through stylesheet *text*, like the
                 // unoptimized prototype.
                 let (sheet, _slots, start_mode) =
@@ -695,7 +800,7 @@ impl QegFactory {
                 let compiled = compile(reparsed)?;
                 Ok(QegProgram { compiled, start_mode })
             }
-            XsltCreation::Fast => {
+            QegEngine::XsltFast | QegEngine::Native => {
                 let key = ShapeKey::of(plan, ignore_complete);
                 let hit = {
                     let mut cache = self.skeletons.lock();
@@ -1350,7 +1455,7 @@ mod tests {
     fn qeg_complete_data_produces_no_asks() {
         let db = owned_all();
         let p = plan(Q_PAPER);
-        let f = QegFactory::new(Service::parking(), XsltCreation::Fast);
+        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
         let prog = f.create(&p).unwrap();
         let out = prog.execute(&db, 0.0).unwrap();
         assert!(out.is_complete(), "asks: {:?}", out.asks);
@@ -1374,7 +1479,7 @@ mod tests {
         db.bootstrap_owned(&m, &pgh().child("neighborhood", "Oakland"), true)
             .unwrap();
         let p = plan(Q_PAPER);
-        let f = QegFactory::new(Service::parking(), XsltCreation::Fast);
+        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
         let prog = f.create(&p).unwrap();
         let out = prog.execute(&db, 0.0).unwrap();
         assert_eq!(out.asks.len(), 1);
@@ -1402,7 +1507,7 @@ mod tests {
                  /city[@id='Pittsburgh']/neighborhood[@id='Oakland']\
                  /block[@id='2']/parkingSpace";
         let p = plan(q);
-        let f = QegFactory::new(Service::parking(), XsltCreation::Fast);
+        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
         let out = f.create(&p).unwrap().execute(&db, 0.0).unwrap();
         assert!(out.is_complete());
         let matched = matched_final_paths(&p, &db, 0.0).unwrap();
@@ -1413,7 +1518,7 @@ mod tests {
     fn qeg_descendant_query() {
         let db = owned_all();
         let p = plan("/usRegion[@id='NE']//parkingSpace[price='0']");
-        let f = QegFactory::new(Service::parking(), XsltCreation::Fast);
+        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
         let out = f.create(&p).unwrap().execute(&db, 0.0).unwrap();
         assert!(out.is_complete(), "asks: {:?}", out.asks);
         let matched = matched_final_paths(&p, &db, 0.0).unwrap();
@@ -1427,7 +1532,7 @@ mod tests {
         db.bootstrap_owned(&m, &pgh().child("neighborhood", "Oakland"), true)
             .unwrap();
         let p = plan("/usRegion[@id='NE']//parkingSpace[price='0']");
-        let f = QegFactory::new(Service::parking(), XsltCreation::Fast);
+        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
         let out = f.create(&p).unwrap().execute(&db, 0.0).unwrap();
         assert!(!out.is_complete());
         // Shadyside (incomplete) must be asked for.
@@ -1450,7 +1555,7 @@ mod tests {
                  /parkingSpace[not(price > ../parkingSpace/price)]";
         let p = plan(q);
         assert_eq!(p.fetch_subtree_at, Some(5));
-        let f = QegFactory::new(Service::parking(), XsltCreation::Fast);
+        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
         let out = f.create(&p).unwrap().execute(&db, 0.0).unwrap();
         assert!(!out.is_complete());
         // With the whole document owned, the same query runs locally.
@@ -1487,7 +1592,7 @@ mod tests {
                  /city[@id='Pittsburgh']/neighborhood[@id='Oakland']/block[@id='1']\
                  /parkingSpace[available='yes'][@timestamp > now() - 30]";
         let p = plan(q);
-        let f = QegFactory::new(Service::parking(), XsltCreation::Fast);
+        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
         // Query posed at t=200: data from t=100 is 100s old, tolerance 30s.
         let out = f.create(&p).unwrap().execute(&cache, 200.0).unwrap();
         assert!(out.asks.iter().any(|a| a.kind == AskKind::Stale));
@@ -1506,11 +1611,12 @@ mod tests {
         db.bootstrap_owned(&m, &pgh().child("neighborhood", "Oakland"), true)
             .unwrap();
         let p = plan(Q_PAPER);
-        let naive = QegFactory::new(Service::parking(), XsltCreation::Naive);
-        let fast = QegFactory::new(Service::parking(), XsltCreation::Fast);
+        let naive = QegFactory::new(Service::parking(), QegEngine::XsltNaive);
+        let fast = QegFactory::new(Service::parking(), QegEngine::XsltFast);
         let o1 = naive.create(&p).unwrap().execute(&db, 0.0).unwrap();
         let o2 = fast.create(&p).unwrap().execute(&db, 0.0).unwrap();
         assert_eq!(o1.asks, o2.asks);
+        assert_eq!(exec::execute(&p, &db, 0.0, false).unwrap(), o1.asks);
         assert!(sensorxml::unordered_eq(
             &o1.output,
             o1.output.root().unwrap(),
@@ -1520,8 +1626,67 @@ mod tests {
     }
 
     #[test]
+    fn native_engine_runs_without_programs() {
+        let db = owned_all();
+        let native = QegFactory::new(Service::parking(), QegEngine::Native);
+        let pass = native.run(&plan(Q_PAPER), &db, 0.0, false).unwrap();
+        assert!(pass.asks.is_empty());
+        assert_eq!(pass.create_s, 0.0);
+        assert_eq!(native.created(), 0);
+        assert_eq!(native.skeleton_hits() + native.skeleton_misses(), 0);
+    }
+
+    #[test]
+    fn native_walk_depth_is_bounded_like_xslt() {
+        // A self-nesting IDable tag lets `//` search arbitrarily deep: both
+        // engines must refuse past the same bound instead of overflowing.
+        let svc = Arc::new(Service::new(
+            "deep",
+            "deep.example",
+            crate::service::Schema::new("n", [("n".to_string(), vec!["n".to_string()])]),
+        ));
+        let chain = |levels: usize| {
+            let mut xml = String::new();
+            for i in 0..levels {
+                xml.push_str(&format!("<n id=\"{i}\">"));
+            }
+            xml.push_str(&"</n>".repeat(levels));
+            let master = parse(&xml).unwrap();
+            let mut db = SiteDatabase::new(svc.clone());
+            db.bootstrap_owned(&master, &IdPath::from_pairs([("n", "0")]), true).unwrap();
+            db
+        };
+        let e = sensorxpath::parse("/n[@id='0']//n[@id='none']").unwrap();
+        let p = plan_query(&e, &svc).unwrap();
+        // Searching element k (root = 0) applies templates at depth 3 + k,
+        // so a chain of 126 elements peaks at exactly 128 and 127 overrun.
+        let shallow = chain(126);
+        let deep = chain(127);
+        assert!(exec::execute(&p, &shallow, 0.0, false).unwrap().is_empty());
+        assert!(matches!(
+            exec::execute(&p, &deep, 0.0, false),
+            Err(CoreError::Query(m)) if m.contains("deeper than")
+        ));
+        // The XSLT interpreter spends several frames per level; give it
+        // room in debug builds.
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(move || {
+                let fast = QegFactory::new(svc, QegEngine::XsltFast);
+                assert!(fast.run(&p, &shallow, 0.0, false).unwrap().asks.is_empty());
+                assert!(matches!(
+                    fast.run(&p, &deep, 0.0, false),
+                    Err(CoreError::Xslt(sensorxslt::XsltError::RecursionLimit))
+                ));
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
     fn fast_skeleton_cache_hits_on_same_shape() {
-        let fast = QegFactory::new(Service::parking(), XsltCreation::Fast);
+        let fast = QegFactory::new(Service::parking(), QegEngine::XsltFast);
         let p1 = plan(Q_PAPER);
         // Same shape, different ids/predicates.
         let p2 = plan(
@@ -1550,7 +1715,7 @@ mod tests {
 
     #[test]
     fn skeleton_cache_lru_bounds_shapes() {
-        let fast = QegFactory::new(Service::parking(), XsltCreation::Fast);
+        let fast = QegFactory::new(Service::parking(), QegEngine::XsltFast);
         let tags = ["usRegion", "state", "county", "city", "neighborhood", "block"];
         let ids = ["NE", "PA", "Allegheny", "Pittsburgh", "Oakland", "1"];
         // Distinct shapes: which steps carry a rest predicate is part of the

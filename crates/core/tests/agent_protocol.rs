@@ -3,7 +3,7 @@
 
 use irisdns::{AuthoritativeDns, SiteAddr};
 use irisnet_core::{
-    Endpoint, IdPath, Message, OaConfig, OrganizingAgent, Outbound, Service, Status,
+    Endpoint, IdPath, Message, OaConfig, OrganizingAgent, Outbound, QegEngine, Service, Status,
 };
 
 fn master() -> sensorxml::Document {
@@ -18,8 +18,12 @@ fn master() -> sensorxml::Document {
 }
 
 fn owner_agent(addr: u32) -> (OrganizingAgent, AuthoritativeDns) {
+    owner_agent_with(addr, OaConfig::default())
+}
+
+fn owner_agent_with(addr: u32, config: OaConfig) -> (OrganizingAgent, AuthoritativeDns) {
     let svc = Service::parking();
-    let oa = OrganizingAgent::new(SiteAddr(addr), svc.clone(), OaConfig::default());
+    let oa = OrganizingAgent::new(SiteAddr(addr), svc.clone(), config);
     oa.db_mut()
         .bootstrap_owned(&master(), &IdPath::from_pairs([("usRegion", "NE")]), true)
         .unwrap();
@@ -131,23 +135,28 @@ fn missing_data_with_no_dns_entry_answers_with_what_exists() {
 
 #[test]
 fn stats_track_phases_and_counts() {
-    let (mut oa, mut dns) = owner_agent(1);
-    let q = "/usRegion[@id='NE']/state[@id='PA']/county[@id='A']/city[@id='P']\
-             /neighborhood[@id='n1']/block[@id='1']/parkingSpace";
-    for i in 0..5 {
-        let out = oa.handle(
-            Message::UserQuery { qid: i, text: q.into(), endpoint: Endpoint(1) },
-            &mut dns,
-            i as f64,
-        );
-        assert_eq!(out.len(), 1);
+    // The XSLT engines create a program per pass; the native walk creates
+    // nothing, so its create phase stays exactly zero.
+    for engine in [QegEngine::XsltFast, QegEngine::XsltNaive, QegEngine::Native] {
+        let (mut oa, mut dns) = owner_agent_with(1, OaConfig { engine, ..OaConfig::default() });
+        let q = "/usRegion[@id='NE']/state[@id='PA']/county[@id='A']/city[@id='P']\
+                 /neighborhood[@id='n1']/block[@id='1']/parkingSpace";
+        for i in 0..5 {
+            let out = oa.handle(
+                Message::UserQuery { qid: i, text: q.into(), endpoint: Endpoint(1) },
+                &mut dns,
+                i as f64,
+            );
+            assert_eq!(out.len(), 1);
+        }
+        assert_eq!(oa.stats.user_queries, 5);
+        assert_eq!(oa.stats.answers_sent, 5);
+        assert_eq!(oa.stats.answered_locally, 5);
+        assert_eq!(oa.stats.time_create_xslt > 0.0, engine != QegEngine::Native, "{engine:?}");
+        assert!(oa.stats.time_exec_xslt > 0.0);
+        assert!(oa.stats.time_extract > 0.0);
+        assert_eq!(oa.qeg().created() > 0, engine != QegEngine::Native, "{engine:?}");
     }
-    assert_eq!(oa.stats.user_queries, 5);
-    assert_eq!(oa.stats.answers_sent, 5);
-    assert_eq!(oa.stats.answered_locally, 5);
-    assert!(oa.stats.time_create_xslt > 0.0);
-    assert!(oa.stats.time_exec_xslt > 0.0);
-    assert!(oa.stats.time_extract > 0.0);
 }
 
 #[test]

@@ -94,7 +94,7 @@ fn owner_round(oa: &mut OrganizingAgent, dns: &mut AuthoritativeDns, full: &Site
 
 fn final_answer(oa: &OrganizingAgent, svc: &Service, q: &str, pid: u64) -> String {
     let expr = sensorxpath::parse(q).unwrap();
-    let plan = plan_query(&expr, svc).unwrap();
+    let plan = Arc::new(plan_query(&expr, svc).unwrap());
     let task = ReadTask {
         pid,
         posed_at: 0.0,
@@ -139,7 +139,7 @@ fn concurrent_reads_during_mutation_preserve_invariants() {
                 let q = QUERIES[i % QUERIES.len()];
                 i += 1;
                 let expr = sensorxpath::parse(q).unwrap();
-                let plan = plan_query(&expr, &svc).unwrap();
+                let plan = Arc::new(plan_query(&expr, &svc).unwrap());
                 let task = ReadTask {
                     pid: i as u64,
                     posed_at: 0.0,

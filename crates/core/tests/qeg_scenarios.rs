@@ -9,7 +9,7 @@ use irisdns::{AuthoritativeDns, SiteAddr};
 use irisnet_core::qeg::{generalized_subquery, matched_final_paths, plan_query, AskKind, QegFactory, StepKind};
 use irisnet_core::{
     Endpoint, IdPath, Message, OaConfig, OrganizingAgent, Outbound, Service, SiteDatabase,
-    Status, XsltCreation,
+    QegEngine, Status,
 };
 
 fn master() -> sensorxml::Document {
@@ -278,7 +278,7 @@ fn matched_paths_respect_distribution_prefix_only() {
 #[test]
 fn qeg_factory_shapes_do_not_collide_across_queries() {
     let svc = service();
-    let f = QegFactory::new(svc.clone(), XsltCreation::Fast);
+    let f = QegFactory::new(svc.clone(), QegEngine::XsltFast);
     let queries = [
         "/usRegion[@id='NE']/state[@id='PA']/county[@id='A']/city[@id='P']",
         "/usRegion[@id='NE']/state[@id='PA']/county[@id='A']/city[@id='P']/neighborhood[@id='n1']",

@@ -13,7 +13,7 @@
 //!   which the query layer tolerates because the old owner forwards.
 //!
 //! Time is always passed in explicitly (seconds as `f64`), so the module is
-//! deterministic and works under both the live cluster and the
+//! deterministic and works under both the sharded runtime and the
 //! discrete-event simulator.
 
 pub mod name;

@@ -5,7 +5,7 @@
 //! - [`span`] / [`recorder`]: causally-linked distributed query traces
 //!   behind a [`Recorder`] trait whose no-op default costs one branch per
 //!   message. The same span shapes are recorded by the discrete-event
-//!   simulator (virtual time) and the live cluster (wall time), so the DES
+//!   simulator (virtual time) and the sharded runtime (wall time), so the DES
 //!   remains the oracle for trace *structure*.
 //! - [`metrics`]: per-site named series — lock-free counters and
 //!   log2-bucket histograms — that absorb component-local atomics via

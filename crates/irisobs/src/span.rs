@@ -8,10 +8,11 @@
 //! per ownership transfer), assembled by [`crate::explain`].
 //!
 //! The same shapes are recorded by the discrete-event simulator (virtual
-//! time) and the live cluster (wall time); only the clock differs. That is
-//! the point: the DES stays the *oracle for trace structure*, so a live
-//! trace can be validated against a DES trace of the same workload by
-//! comparing structure digests (see [`crate::explain::structure_digest`]).
+//! time) and the sharded runtime (wall time); only the clock differs. That
+//! is the point: the DES stays the *oracle for trace structure*, so a
+//! sharded-runtime trace can be validated against a DES trace of the same
+//! workload by comparing structure digests (see
+//! [`crate::explain::structure_digest`]).
 
 /// What kind of work a span covers. Ordered so canonical child sorting is
 /// stable and meaningful (arrival → execution → asks → answers → finalize).

@@ -18,7 +18,7 @@ use irisobs::Recorder;
 
 use crate::faults::{FaultCounts, FaultPlan, FaultState};
 
-/// Service-time model, calibratable against the live cluster.
+/// Service-time model, calibratable against the sharded runtime.
 ///
 /// The cost of handling a message is
 /// `msg_overhead + fixed(type) + measured_cpu * cpu_scale`, where
