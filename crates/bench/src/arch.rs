@@ -90,8 +90,7 @@ fn build_centralized(db: &ParkingDb, costs: CostModel, config: OaConfig) -> Buil
         .db_mut()
         .bootstrap_owned(&db.master, &db.root_path(), true)
         .expect("bootstrap centralized");
-    sim.dns
-        .register(&db.service.dns_name(&db.root_path()), SiteAddr(1));
+    db.service.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
     sim.add_site(central);
     sim.route_override = Some(SiteAddr(1));
     let block_owner = db
@@ -135,8 +134,7 @@ fn build_central_query(
                 .expect("neighborhood");
         }
     }
-    sim.dns
-        .register(&db.service.dns_name(&db.root_path()), SiteAddr(1));
+    db.service.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
 
     // Blocks round-robin over the worker sites.
     let workers: Vec<SiteAddr> = (2..=sites as u32).map(SiteAddr).collect();
@@ -156,7 +154,7 @@ fn build_central_query(
         // The mapping is always in the authoritative store (the OAs need
         // it to dispatch subqueries); architecture ii merely withholds it
         // from *clients* via route_override.
-        sim.dns.register(&db.service.dns_name(&bp), site);
+        db.service.register_owner(&mut sim.dns, &bp, site);
         block_owner.insert(bp, site);
     }
     sim.add_site(central);
@@ -198,8 +196,7 @@ fn build_hierarchical(
     top.db_mut()
         .bootstrap_owned(&db.master, &db.county_path(), false)
         .expect("county");
-    sim.dns
-        .register(&db.service.dns_name(&db.root_path()), SiteAddr(1));
+    db.service.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
     sim.add_site(top);
     let mut all_sites = vec![SiteAddr(1)];
 
@@ -211,7 +208,7 @@ fn build_hierarchical(
         let a = oa(addr.0, db, &config);
         a.db_mut().bootstrap_owned(&db.master, &db.city_path(ci), false)
             .expect("city");
-        sim.dns.register(&db.service.dns_name(&db.city_path(ci)), addr);
+        db.service.register_owner(&mut sim.dns, &db.city_path(ci), addr);
         sim.add_site(a);
         all_sites.push(addr);
     }
@@ -225,7 +222,7 @@ fn build_hierarchical(
             let a = oa(addr.0, db, &config);
             let np = db.neighborhood_path(ci, ni);
             a.db_mut().bootstrap_owned(&db.master, &np, true).expect("neighborhood");
-            sim.dns.register(&db.service.dns_name(&np), addr);
+            db.service.register_owner(&mut sim.dns, &np, addr);
             sim.add_site(a);
             all_sites.push(addr);
             for bi in 0..db.params.blocks_per_neighborhood {

@@ -16,7 +16,7 @@ fn main() {
     let mut oa = OrganizingAgent::new(SiteAddr(1), db.service.clone(), OaConfig::default());
     let np = db.neighborhood_path(0, 0);
     oa.db_mut().bootstrap_owned(&db.master, &np, true).unwrap();
-    dns.register(&db.service.dns_name(&np), SiteAddr(1));
+    db.service.register_owner(&mut dns, &np, SiteAddr(1));
     let q = "/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']/city[@id='Pittsburgh']/neighborhood[@id='n1']/block[@id='3']/parkingSpace[available='yes']";
     for i in 0..5 {
         oa.handle(Message::UserQuery { qid: i, text: q.into(), endpoint: Endpoint(0) }, &mut dns, 0.0);
@@ -58,7 +58,7 @@ fn main() {
         city.db_mut()
             .bootstrap_owned(&db.master, &db.city_path(0), false)
             .unwrap();
-        dns.register(&db.service.dns_name(&db.city_path(0)), SiteAddr(10));
+        db.service.register_owner(&mut dns, &db.city_path(0), SiteAddr(10));
         let mut nbhds: Vec<OrganizingAgent> = Vec::new();
         for ni in 0..db.params.neighborhoods_per_city {
             let a = OrganizingAgent::new(
@@ -68,10 +68,7 @@ fn main() {
             );
             a.db_mut().bootstrap_owned(&db.master, &db.neighborhood_path(0, ni), true)
                 .unwrap();
-            dns.register(
-                &db.service.dns_name(&db.neighborhood_path(0, ni)),
-                SiteAddr(11 + ni as u32),
-            );
+            db.service.register_owner(&mut dns, &db.neighborhood_path(0, ni), a.addr);
             nbhds.push(a);
         }
         let mut w = Workload::uniform(&db, QueryType::T3, 77);

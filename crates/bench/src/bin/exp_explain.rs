@@ -38,8 +38,8 @@ fn main() {
     oa1.db_mut().evict(&carved).unwrap();
     let oa2 = OrganizingAgent::new(SiteAddr(2), svc.clone(), OaConfig::default());
     oa2.db_mut().bootstrap_owned(&db.master, &carved, true).unwrap();
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-    sim.dns.register(&svc.dns_name(&carved), SiteAddr(2));
+    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
+    svc.register_owner(&mut sim.dns, &carved, SiteAddr(2));
     sim.add_site(oa1);
     sim.add_site(oa2);
 

@@ -163,7 +163,7 @@ fn headline(sites: usize, clients: usize, queries: usize, zipf: f64) -> String {
     eprintln!("== headline: DES replay of {EQUIVALENCE_QUERIES} queries ==");
     let mut sim = DesCluster::new(CostModel::default());
     for (path, addr) in &h.owners {
-        sim.dns.register(&h.db.service.dns_name(path), *addr);
+        h.db.service.register_owner(&mut sim.dns, path, *addr);
     }
     for a in h.make_agents(&OaConfig::default()) {
         sim.add_site(a);

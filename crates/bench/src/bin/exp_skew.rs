@@ -46,14 +46,14 @@ fn balanced(db: &ParkingDb) -> BuiltCluster {
         .bootstrap_owned(&db.master, &db.root_path().child("state", "PA"), false)
         .unwrap();
     top.db_mut().bootstrap_owned(&db.master, &db.county_path(), false).unwrap();
-    sim.dns.register(&db.service.dns_name(&db.root_path()), SiteAddr(1));
+    db.service.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
     agents.push(top);
     // Cities on 2..3.
     let mut next = 2u32;
     for ci in 0..db.params.cities {
         let a = OrganizingAgent::new(SiteAddr(next), db.service.clone(), config.clone());
         a.db_mut().bootstrap_owned(&db.master, &db.city_path(ci), false).unwrap();
-        sim.dns.register(&db.service.dns_name(&db.city_path(ci)), SiteAddr(next));
+        db.service.register_owner(&mut sim.dns, &db.city_path(ci), SiteAddr(next));
         agents.push(a);
         next += 1;
     }
@@ -67,7 +67,7 @@ fn balanced(db: &ParkingDb) -> BuiltCluster {
             } else {
                 a.db_mut().bootstrap_owned(&db.master, &np, true).unwrap();
             }
-            sim.dns.register(&db.service.dns_name(&np), SiteAddr(next));
+            db.service.register_owner(&mut sim.dns, &np, SiteAddr(next));
             agents.push(a);
             next += 1;
         }
@@ -82,7 +82,7 @@ fn balanced(db: &ParkingDb) -> BuiltCluster {
             .bootstrap_owned(&db.master, &bp, true)
             .unwrap();
         let addr = agents[site_idx].addr;
-        sim.dns.register(&db.service.dns_name(&bp), addr);
+        db.service.register_owner(&mut sim.dns, &bp, addr);
         built.block_owner.insert(bp, addr);
     }
     let sites: Vec<SiteAddr> = agents.iter().map(|a| a.addr).collect();

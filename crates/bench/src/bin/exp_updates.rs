@@ -42,7 +42,7 @@ fn capacity_run(num_oas: usize, offered_rate: f64, duration: f64) -> f64 {
     }
     for a in agents {
         let addr = a.addr;
-        sim.dns.register(&db.service.dns_name(&db.root_path()), addr);
+        db.service.register_owner(&mut sim.dns, &db.root_path(), addr);
         sim.add_site(a);
     }
 

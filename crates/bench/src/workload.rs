@@ -397,7 +397,7 @@ mod tests {
         let h = ScaleHierarchy::with_sites(13, 3);
         let mut sim = DesCluster::new(CostModel::default());
         for (path, addr) in &h.owners {
-            sim.dns.register(&h.db.service.dns_name(path), *addr);
+            h.db.service.register_owner(&mut sim.dns, path, *addr);
         }
         let agents = h.make_agents(&OaConfig::default());
         assert_eq!(agents.len(), 13);

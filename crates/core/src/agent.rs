@@ -808,14 +808,6 @@ impl OrganizingAgent {
         std::mem::take(&mut self.telemetry_inbox)
     }
 
-    /// Forces a cache sweep immediately (maintenance/test hook; the agent
-    /// normally sweeps itself at quiescent points). Returns the demoted
-    /// unit paths.
-    pub fn enforce_cache_now(&mut self, now: f64) -> Vec<IdPath> {
-        let mut db = self.db.write();
-        self.cache_mgr.enforce(&mut db, now)
-    }
-
     fn fresh_qid(&mut self) -> QueryId {
         let q = self.next_qid;
         self.next_qid += 1;

@@ -85,8 +85,7 @@ impl OrganizingAgent {
         // Step 4: flip the DNS entry — the atomicity point. Timed so a
         // configured staleness window keeps serving the old owner briefly
         // (tolerated via that owner's forwarding entry).
-        let name = self.service.dns_name(&path);
-        dns.register_at(&name, self.addr, now);
+        self.service.register_owner_at(dns, &path, self.addr, now);
         self.record_migration(SpanKind::MigrateIn, &path, from.0, now);
         out.push(Outbound::Send {
             to: from,
@@ -154,7 +153,7 @@ mod tests {
         let mut dns = AuthoritativeDns::new();
         a.db_mut().bootstrap_owned(&master(), &IdPath::from_pairs([("usRegion", "NE")]), true)
             .unwrap();
-        dns.register(&svc.dns_name(&IdPath::from_pairs([("usRegion", "NE")])), SiteAddr(1));
+        svc.register_owner(&mut dns, &IdPath::from_pairs([("usRegion", "NE")]), SiteAddr(1));
         (a, b, dns, svc)
     }
 

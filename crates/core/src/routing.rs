@@ -22,8 +22,8 @@ pub fn lca_id_path(query: &Expr) -> IdPath {
 
 /// Builds the DNS-style site name for a query — the paper's example yields
 /// `pittsburgh.allegheny.pa.ne.parking.intel-iris.net`. Queries that pin no
-/// prefix (`//parkingSpace[...]`) route to the service apex (the root
-/// owner's name).
+/// prefix (`//parkingSpace[...]`) route to the service apex, which
+/// [`Service::register_owner`] registers for the root element's owner.
 pub fn lca_dns_name(query: &Expr, service: &Service) -> DnsName {
     let path = lca_id_path(query);
     service.dns_name(&path)

@@ -8,7 +8,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use irisdns::DnsName;
+use irisdns::{AuthoritativeDns, DnsName, SiteAddr};
 
 use crate::idable::IdPath;
 
@@ -88,11 +88,6 @@ impl Schema {
         }
         out
     }
-
-    /// All IDable tags in the schema.
-    pub fn idable_tags(&self) -> impl Iterator<Item = &str> {
-        self.idable.iter().map(String::as_str)
-    }
 }
 
 /// A deployed sensor service.
@@ -138,10 +133,34 @@ impl Service {
         ))
     }
 
-    /// The DNS name of an IDable node given its root-to-node id path.
+    /// The DNS name of an IDable node given its root-to-node id path. The
+    /// empty path names the service apex (`parking.intel-iris.net`), where
+    /// queries that pin no id prefix (`//parkingSpace[...]`) route.
     pub fn dns_name(&self, path: &IdPath) -> DnsName {
         let ids: Vec<&str> = path.segments().iter().map(|(_, id)| id.as_str()).collect();
         DnsName::from_id_path(&ids, &self.dns_suffix)
+    }
+
+    /// Registers `addr` as the owner of `path` in `dns`, visible at once.
+    pub fn register_owner(&self, dns: &mut AuthoritativeDns, path: &IdPath, addr: SiteAddr) {
+        self.register_owner_at(dns, path, addr, f64::NEG_INFINITY);
+    }
+
+    /// Registers `addr` as the owner of `path` at time `now` (see
+    /// [`AuthoritativeDns::register_at`]). The root element's owner is the
+    /// LCA of every query, so it also answers for the apex: that keeps an
+    /// unpinned query routable wherever the root lives, across migrations.
+    pub fn register_owner_at(
+        &self,
+        dns: &mut AuthoritativeDns,
+        path: &IdPath,
+        addr: SiteAddr,
+        now: f64,
+    ) {
+        dns.register_at(&self.dns_name(path), addr, now);
+        if path.len() == 1 {
+            dns.register_at(&self.dns_name(&IdPath::root()), addr, now);
+        }
     }
 }
 
@@ -175,6 +194,27 @@ mod tests {
         assert!(d.contains("neighborhood") && d.contains("block") && d.contains("park"));
         let all = s.idable_descendants_inclusive("city");
         assert_eq!(all.len(), 4);
+    }
+
+    #[test]
+    fn root_owner_answers_for_the_apex() {
+        let svc = Service::parking();
+        let mut dns = AuthoritativeDns::new();
+        let root = IdPath::from_pairs([("usRegion", "NE")]);
+        let state = root.child("state", "PA");
+        let apex = svc.dns_name(&IdPath::root());
+        let owner = |dns: &AuthoritativeDns, path: &IdPath| {
+            dns.lookup(&svc.dns_name(path)).map(|a| a.addr)
+        };
+        svc.register_owner(&mut dns, &state, SiteAddr(2));
+        assert_eq!(dns.lookup(&apex), None, "only the root owner answers for the apex");
+        svc.register_owner(&mut dns, &root, SiteAddr(1));
+        assert_eq!(owner(&dns, &IdPath::root()), Some(SiteAddr(1)));
+        // Migrating the root moves the apex with it.
+        svc.register_owner_at(&mut dns, &root, SiteAddr(3), 5.0);
+        assert_eq!(owner(&dns, &IdPath::root()), Some(SiteAddr(3)));
+        assert_eq!(owner(&dns, &root), Some(SiteAddr(3)));
+        assert_eq!(owner(&dns, &state), Some(SiteAddr(2)));
     }
 
     #[test]

@@ -124,14 +124,33 @@ impl StorageBackend for MemoryBackend {
 }
 
 /// File backend: one file per segment under `root` (created on first use).
-/// Appends open the file in append mode per call — segment appends are
-/// already batched per mutation, and recovery never trusts file contents
-/// anyway (every record is checksum-validated), so there is no in-process
-/// write buffer to lose. fsync is out of scope: the crash model here is
-/// process loss, not power loss (DESIGN §4i).
+///
+/// The segment last appended to stays open in append mode, so a WAL record
+/// costs one `write(2)`: the store appends to a single active segment at a
+/// time, and each mutation's record is one `append`. There is no user-space
+/// buffer: every byte reaches the kernel before `append` returns, which is
+/// all the crash model needs — it is process loss, not power loss, so there
+/// is no fsync either (DESIGN §4i). Recovery never trusts file contents
+/// anyway; every record is checksum-validated.
+///
+/// `write` and `remove` drop the held handle for their segment first, so a
+/// removed segment is recreated by the next append instead of written
+/// through an unlinked inode. A failed open or write drops it too, and the
+/// next append reopens the file.
 #[derive(Debug)]
 pub struct FileBackend {
     root: PathBuf,
+    active: Mutex<Active>,
+}
+
+/// The segment last appended to. The name buffer lives as long as the
+/// backend and is rewritten in place, so rolling to a new segment
+/// allocates nothing.
+#[derive(Debug)]
+struct Active {
+    name: String,
+    /// The append-mode handle of `name`; `None` when none is held.
+    file: Option<fs::File>,
 }
 
 impl FileBackend {
@@ -139,7 +158,8 @@ impl FileBackend {
     pub fn new(root: impl AsRef<Path>) -> Result<FileBackend, StorageError> {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root).map_err(|e| StorageError(e.to_string()))?;
-        Ok(FileBackend { root })
+        let active = Active { name: String::with_capacity(64), file: None };
+        Ok(FileBackend { root, active: Mutex::new(active) })
     }
 
     /// The directory segments live in.
@@ -150,19 +170,47 @@ impl FileBackend {
     fn path_of(&self, name: &str) -> PathBuf {
         self.root.join(name)
     }
+
+    fn active(&self) -> std::sync::MutexGuard<'_, Active> {
+        self.active.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Closes the held handle if it is `name`'s.
+    fn release(&self, name: &str) {
+        let mut active = self.active();
+        if active.name == name {
+            active.file = None;
+        }
+    }
 }
 
 impl StorageBackend for FileBackend {
     fn append(&self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path_of(name))
-            .map_err(|e| StorageError(e.to_string()))?;
-        f.write_all(bytes).map_err(|e| StorageError(e.to_string()))
+        let mut guard = self.active();
+        let active = &mut *guard;
+        let f = match &mut active.file {
+            Some(f) if active.name == name => f,
+            slot => {
+                *slot = None;
+                let f = fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(self.path_of(name))
+                    .map_err(|e| StorageError(e.to_string()))?;
+                active.name.clear();
+                active.name.push_str(name);
+                slot.insert(f)
+            }
+        };
+        if let Err(e) = f.write_all(bytes) {
+            active.file = None;
+            return Err(StorageError(e.to_string()));
+        }
+        Ok(())
     }
 
     fn write(&self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+        self.release(name);
         fs::write(self.path_of(name), bytes).map_err(|e| StorageError(e.to_string()))
     }
 
@@ -175,6 +223,7 @@ impl StorageBackend for FileBackend {
     }
 
     fn remove(&self, name: &str) -> Result<(), StorageError> {
+        self.release(name);
         match fs::remove_file(self.path_of(name)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -223,16 +272,94 @@ mod tests {
         exercise(&MemoryBackend::new());
     }
 
+    /// A fresh directory for one test (removed by [`TempDir`]'s drop).
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> TempDir {
+            let dir = std::env::temp_dir().join(format!(
+                "iris-store-test-{tag}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn file_backend_contract() {
-        let dir = std::env::temp_dir().join(format!(
-            "iris-store-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let b = FileBackend::new(&dir).unwrap();
-        exercise(&b);
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("contract");
+        exercise(&FileBackend::new(&dir.0).unwrap());
+    }
+
+    #[test]
+    fn removed_segment_is_recreated_by_the_next_append() {
+        let dir = TempDir::new("remove");
+        let b = FileBackend::new(&dir.0).unwrap();
+        b.append("a", b"old").unwrap();
+        b.remove("a").unwrap();
+        assert_eq!(b.read("a").unwrap(), None);
+        b.append("a", b"new").unwrap();
+        assert_eq!(b.read("a").unwrap().as_deref(), Some(&b"new"[..]));
+        assert_eq!(b.list().unwrap(), vec!["a".to_string()]);
+    }
+
+    #[test]
+    fn append_after_write_lands_after_the_written_bytes() {
+        let dir = TempDir::new("write");
+        let b = FileBackend::new(&dir.0).unwrap();
+        b.append("a", b"stale").unwrap();
+        b.write("a", b"hdr").unwrap();
+        b.append("a", b"rec").unwrap();
+        assert_eq!(b.read("a").unwrap().as_deref(), Some(&b"hdrrec"[..]));
+    }
+
+    #[test]
+    fn alternating_appends_land_in_their_own_segments() {
+        let dir = TempDir::new("alternate");
+        let b = FileBackend::new(&dir.0).unwrap();
+        for i in 0..4u8 {
+            b.append("a", &[b'a', b'0' + i]).unwrap();
+            b.append("b", &[b'b', b'0' + i]).unwrap();
+        }
+        assert_eq!(b.read("a").unwrap().as_deref(), Some(&b"a0a1a2a3"[..]));
+        assert_eq!(b.read("b").unwrap().as_deref(), Some(&b"b0b1b2b3"[..]));
+    }
+
+    #[test]
+    fn appended_bytes_are_visible_to_another_backend_at_once() {
+        // No user-space buffer: a process lost right after `append`
+        // returns has already handed every byte to the kernel.
+        let dir = TempDir::new("visible");
+        let writer = FileBackend::new(&dir.0).unwrap();
+        let reader = FileBackend::new(&dir.0).unwrap();
+        let mut expected = Vec::new();
+        for i in 0..16u8 {
+            let rec = [i; 7];
+            writer.append("wal-1.seg", &rec).unwrap();
+            expected.extend_from_slice(&rec);
+            assert_eq!(reader.read("wal-1.seg").unwrap(), Some(expected.clone()));
+        }
+    }
+
+    #[test]
+    fn failed_open_holds_no_handle_and_the_next_append_reopens() {
+        let dir = TempDir::new("openfail");
+        let b = FileBackend::new(&dir.0).unwrap();
+        b.append("a", b"x").unwrap();
+        fs::create_dir(dir.0.join("seg")).unwrap();
+        assert!(b.append("seg", b"lost").is_err());
+        assert!(b.active().file.is_none(), "a failed open must not keep the old handle");
+        fs::remove_dir(dir.0.join("seg")).unwrap();
+        b.append("seg", b"kept").unwrap();
+        assert_eq!(b.read("seg").unwrap().as_deref(), Some(&b"kept"[..]));
+        assert_eq!(b.read("a").unwrap().as_deref(), Some(&b"x"[..]));
     }
 }

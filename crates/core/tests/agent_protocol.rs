@@ -28,7 +28,7 @@ fn owner_agent_with(addr: u32, config: OaConfig) -> (OrganizingAgent, Authoritat
         .bootstrap_owned(&master(), &IdPath::from_pairs([("usRegion", "NE")]), true)
         .unwrap();
     let mut dns = AuthoritativeDns::new();
-    dns.register(&svc.dns_name(&IdPath::from_pairs([("usRegion", "NE")])), SiteAddr(addr));
+    svc.register_owner(&mut dns, &IdPath::from_pairs([("usRegion", "NE")]), SiteAddr(addr));
     (oa, dns)
 }
 
@@ -115,7 +115,7 @@ fn missing_data_with_no_dns_entry_answers_with_what_exists() {
     oa.db_mut().set_status_subtree(&n2, Status::Complete).unwrap();
     oa.db_mut().evict(&n2).unwrap();
     let mut dns = AuthoritativeDns::new();
-    dns.register(&svc.dns_name(&IdPath::from_pairs([("usRegion", "NE")])), SiteAddr(1));
+    svc.register_owner(&mut dns, &IdPath::from_pairs([("usRegion", "NE")]), SiteAddr(1));
 
     let q = "/usRegion[@id='NE']/state[@id='PA']/county[@id='A']/city[@id='P']\
              /neighborhood/block[@id='1']/parkingSpace";

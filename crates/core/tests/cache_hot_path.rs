@@ -63,8 +63,8 @@ fn two_sites() -> (OrganizingAgent, OrganizingAgent, AuthoritativeDns) {
     let oa2 = OrganizingAgent::new(SiteAddr(2), svc.clone(), OaConfig::default());
     oa2.db_mut().bootstrap_owned(&master(), &carved, true).unwrap();
     let mut dns = AuthoritativeDns::new();
-    dns.register(&svc.dns_name(&root), SiteAddr(1));
-    dns.register(&svc.dns_name(&carved), SiteAddr(2));
+    svc.register_owner(&mut dns, &root, SiteAddr(1));
+    svc.register_owner(&mut dns, &carved, SiteAddr(2));
     (oa1, oa2, dns)
 }
 

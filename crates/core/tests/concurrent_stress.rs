@@ -163,7 +163,7 @@ fn concurrent_reads_during_mutation_preserve_invariants() {
     }
 
     let mut dns = AuthoritativeDns::new();
-    dns.register(&svc.dns_name(&IdPath::from_pairs([("usRegion", "NE")])), SiteAddr(1));
+    svc.register_owner(&mut dns, &IdPath::from_pairs([("usRegion", "NE")]), SiteAddr(1));
     for r in 0..ROUNDS {
         owner_round(&mut oa, &mut dns, &full, r);
     }
@@ -181,7 +181,7 @@ fn concurrent_reads_during_mutation_preserve_invariants() {
     // must leave the database answering every query byte-identically.
     let mut replay = make_agent(&svc);
     let mut dns2 = AuthoritativeDns::new();
-    dns2.register(&svc.dns_name(&IdPath::from_pairs([("usRegion", "NE")])), SiteAddr(1));
+    svc.register_owner(&mut dns2, &IdPath::from_pairs([("usRegion", "NE")]), SiteAddr(1));
     for r in 0..ROUNDS {
         owner_round(&mut replay, &mut dns2, &full, r);
     }

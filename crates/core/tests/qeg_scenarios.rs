@@ -63,8 +63,8 @@ fn split_world() -> (OrganizingAgent, OrganizingAgent, AuthoritativeDns) {
     let oa2 = OrganizingAgent::new(SiteAddr(2), svc.clone(), OaConfig::default());
     oa2.db_mut().bootstrap_owned(&m, &q_city, true).unwrap();
     let mut dns = AuthoritativeDns::new();
-    dns.register(&svc.dns_name(&root()), SiteAddr(1));
-    dns.register(&svc.dns_name(&q_city), SiteAddr(2));
+    svc.register_owner(&mut dns, &root(), SiteAddr(1));
+    svc.register_owner(&mut dns, &q_city, SiteAddr(2));
     (oa1, oa2, dns)
 }
 

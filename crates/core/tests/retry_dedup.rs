@@ -50,8 +50,8 @@ fn two_agents(retry: RetryPolicy) -> (OrganizingAgent, OrganizingAgent, Authorit
     let oa2 = OrganizingAgent::new(SiteAddr(2), svc.clone(), config);
     oa2.db_mut().bootstrap_owned(&master(), &n2(), true).unwrap();
     let mut dns = AuthoritativeDns::new();
-    dns.register(&svc.dns_name(&IdPath::from_pairs([("usRegion", "NE")])), SiteAddr(1));
-    dns.register(&svc.dns_name(&n2()), SiteAddr(2));
+    svc.register_owner(&mut dns, &IdPath::from_pairs([("usRegion", "NE")]), SiteAddr(1));
+    svc.register_owner(&mut dns, &n2(), SiteAddr(2));
     (oa1, oa2, dns)
 }
 
@@ -304,8 +304,8 @@ fn cache_off_retry_bookkeeping_stays_clean() {
     let oa2 = OrganizingAgent::new(SiteAddr(2), svc.clone(), config);
     oa2.db_mut().bootstrap_owned(&master(), &n2(), true).unwrap();
     let mut dns = AuthoritativeDns::new();
-    dns.register(&svc.dns_name(&IdPath::from_pairs([("usRegion", "NE")])), SiteAddr(1));
-    dns.register(&svc.dns_name(&n2()), SiteAddr(2));
+    svc.register_owner(&mut dns, &IdPath::from_pairs([("usRegion", "NE")]), SiteAddr(1));
+    svc.register_owner(&mut dns, &n2(), SiteAddr(2));
     let (mut oa1, mut oa2) = (oa1, oa2);
 
     let outs = oa1.handle(

@@ -48,7 +48,7 @@ fn setup() -> (OrganizingAgent, OrganizingAgent, AuthoritativeDns) {
         .bootstrap_cached(&master(), &IdPath::from_pairs([("usRegion", "NE")]), false)
         .unwrap();
     let mut dns = AuthoritativeDns::new();
-    dns.register(&svc.dns_name(&IdPath::from_pairs([("usRegion", "NE")])), SiteAddr(1));
+    svc.register_owner(&mut dns, &IdPath::from_pairs([("usRegion", "NE")]), SiteAddr(1));
     (owner, cache, dns)
 }
 

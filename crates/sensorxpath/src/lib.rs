@@ -35,6 +35,6 @@ pub mod value;
 pub use ast::{Axis, BinOp, Expr, LocationPath, NodeTest, Step};
 pub use error::{XPathError, XPathResult};
 pub use eval::{evaluate, evaluate_at, EvalContext, Vars};
-pub use optimize::{mark_index_hints, optimize, strip_index_hints};
+pub use optimize::{mark_index_hints, optimize};
 pub use parser::parse;
 pub use value::{Value, XNode};

@@ -251,14 +251,6 @@ fn for_each_step(e: &mut Expr, f: &mut dyn FnMut(&mut Step)) {
     }
 }
 
-/// Clears every step's `indexed_id` evaluation hint, forcing the evaluator
-/// back onto the scan-then-filter path. The expression's semantics are
-/// untouched (the hint never carries meaning). This is the benchmark
-/// baseline for the sibling-index fast path.
-pub fn strip_index_hints(e: &mut Expr) {
-    for_each_step(e, &mut |s| s.indexed_id = None);
-}
-
 /// Recomputes every step's `indexed_id` hint in place. Use after building an
 /// expression outside [`optimize`] — e.g. re-parsing a printed subquery,
 /// whose hints `Display` deliberately drops — to restore the indexed-lookup
@@ -316,25 +308,23 @@ mod tests {
     }
 
     #[test]
-    fn index_hints_marked_and_stripped() {
-        let e = optimize(&parse("/a[@id='1']/b[@id='2'][price > 3]").unwrap());
+    fn index_hints_marked_but_ignored_by_eq_and_display() {
+        let plain = parse("/a[@id='1']/b[@id='2'][price > 3]").unwrap();
+        let e = optimize(&plain);
         let steps = match &e {
             Expr::Path(p) => &p.steps,
             other => panic!("expected path, got {other}"),
         };
         assert_eq!(steps[0].indexed_id.as_deref(), Some("1"));
         assert_eq!(steps[1].indexed_id.as_deref(), Some("2"));
-
-        let mut stripped = e.clone();
-        strip_index_hints(&mut stripped);
-        let ssteps = match &stripped {
+        let psteps = match &plain {
             Expr::Path(p) => &p.steps,
             other => panic!("expected path, got {other}"),
         };
-        assert!(ssteps.iter().all(|s| s.indexed_id.is_none()));
+        assert!(psteps.iter().all(|s| s.indexed_id.is_none()));
         // The hint is an execution detail: equality and display ignore it.
-        assert_eq!(stripped, e);
-        assert_eq!(stripped.to_string(), e.to_string());
+        assert_eq!(plain, e);
+        assert_eq!(plain.to_string(), e.to_string());
     }
 
     #[test]

@@ -52,14 +52,6 @@ impl XNode {
         }
     }
 
-    /// The element node, if this is one.
-    pub fn as_element(&self, doc: &Document) -> Option<NodeId> {
-        match *self {
-            XNode::Node(id) if doc.is_element(id) => Some(id),
-            _ => None,
-        }
-    }
-
     /// The node's name: tag for elements, attribute name for attributes,
     /// empty for text and the document node.
     pub fn node_name<'d>(&self, doc: &'d Document) -> &'d str {

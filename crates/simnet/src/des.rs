@@ -318,11 +318,6 @@ impl DesCluster {
         self.sites.get(&addr).map(|s| &s.oa)
     }
 
-    /// Addresses of every registered site, unordered.
-    pub fn site_addrs(&self) -> Vec<SiteAddr> {
-        self.sites.keys().copied().collect()
-    }
-
     /// Cluster-wide cache-plane totals (hits, misses, evictions, budget
     /// occupancy), accumulated across all sites.
     pub fn cache_stats_total(&self) -> irisnet_core::CacheStats {
@@ -708,9 +703,8 @@ mod tests {
         oa2.db_mut()
             .bootstrap_owned(&master(), &pgh.child("neighborhood", "Shadyside"), true)
             .unwrap();
-        sim.dns.register(&svc.dns_name(&root), SiteAddr(1));
-        sim.dns
-            .register(&svc.dns_name(&pgh.child("neighborhood", "Shadyside")), SiteAddr(2));
+        svc.register_owner(&mut sim.dns, &root, SiteAddr(1));
+        svc.register_owner(&mut sim.dns, &pgh.child("neighborhood", "Shadyside"), SiteAddr(2));
         // Site 1 must genuinely lack Shadyside: demote and evict it so
         // only the ID stub remains.
         let shady = pgh.child("neighborhood", "Shadyside");
@@ -791,7 +785,7 @@ mod tests {
         let root = IdPath::from_pairs([("usRegion", "NE")]);
         let oa = OrganizingAgent::new(SiteAddr(1), svc.clone(), OaConfig::default());
         oa.db_mut().bootstrap_owned(&master(), &root, true).unwrap();
-        sim.dns.register(&svc.dns_name(&root), SiteAddr(1));
+        svc.register_owner(&mut sim.dns, &root, SiteAddr(1));
         sim.add_site(oa);
         let sp = root
             .child("state", "PA")

@@ -327,8 +327,7 @@ impl ShardedCluster {
 
     /// Registers `path → addr` in DNS (setup convenience).
     pub fn register_owner(&self, path: &IdPath, addr: SiteAddr) {
-        let name = self.service.dns_name(path);
-        self.dns.lock().register(&name, addr);
+        self.service.register_owner(&mut self.dns.lock(), path, addr);
     }
 
     /// Queues an agent for the shard `addr.0 % shards`. Must be called

@@ -104,9 +104,8 @@ fn des_answers(db: &ParkingDb, policy: EvictionPolicy) -> (Vec<String>, irisnet_
     let mut sim = DesCluster::new(CostModel::default());
     let (oa1, oa2) = make_agents(db, policy);
     let svc = db.service.clone();
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-    sim.dns
-        .register(&svc.dns_name(&db.neighborhood_path(0, 1)), SiteAddr(2));
+    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
+    svc.register_owner(&mut sim.dns, &db.neighborhood_path(0, 1), SiteAddr(2));
     sim.add_site(oa1);
     sim.add_site(oa2);
     let queries = query_mix(db);

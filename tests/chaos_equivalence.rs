@@ -73,9 +73,8 @@ fn run(db: &ParkingDb, plan: Option<FaultPlan>) -> Vec<(u64, String, bool, bool)
     let mut sim = DesCluster::new(CostModel::default());
     let (oa1, oa2) = make_agents(db);
     let svc = db.service.clone();
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-    sim.dns
-        .register(&svc.dns_name(&db.neighborhood_path(0, 1)), SiteAddr(2));
+    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
+    svc.register_owner(&mut sim.dns, &db.neighborhood_path(0, 1), SiteAddr(2));
     sim.add_site(oa1);
     sim.add_site(oa2);
     if let Some(p) = plan {
@@ -155,9 +154,8 @@ fn faults_and_retries_actually_fire() {
     let mut sim = DesCluster::new(CostModel::default());
     let (oa1, oa2) = make_agents(&db);
     let svc = db.service.clone();
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-    sim.dns
-        .register(&svc.dns_name(&db.neighborhood_path(0, 1)), SiteAddr(2));
+    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
+    svc.register_owner(&mut sim.dns, &db.neighborhood_path(0, 1), SiteAddr(2));
     sim.add_site(oa1);
     sim.add_site(oa2);
     sim.set_fault_plan(plan);
@@ -295,8 +293,8 @@ fn recovery_run(db: &ParkingDb, mode: Restart) -> Vec<(u64, String, bool, bool)>
         oa2.attach_durability(store, recovered, 0.0).unwrap();
         sim.set_fault_plan(FaultPlan::masked_from_seed(7));
     }
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-    sim.dns.register(&svc.dns_name(&carved), SiteAddr(2));
+    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
+    svc.register_owner(&mut sim.dns, &carved, SiteAddr(2));
     sim.add_site(oa1);
     sim.add_site(oa2);
 

@@ -88,7 +88,7 @@ fn pushes_observed_through_des() {
     let root = IdPath::from_pairs([("usRegion", "NE")]);
     let oa = OrganizingAgent::new(SiteAddr(1), service.clone(), OaConfig::default());
     oa.db_mut().bootstrap_owned(&master(), &root, true).unwrap();
-    sim.dns.register(&service.dns_name(&root), SiteAddr(1));
+    service.register_owner(&mut sim.dns, &root, SiteAddr(1));
     sim.add_site(oa);
 
     sim.schedule_message(
@@ -148,8 +148,8 @@ fn ttl_eviction_causes_refetch_after_expiry() {
     oa1.db_mut().evict(&bp).unwrap();
     let oa2 = OrganizingAgent::new(SiteAddr(2), service.clone(), OaConfig::default());
     oa2.db_mut().bootstrap_owned(&master(), &bp, true).unwrap();
-    sim.dns.register(&service.dns_name(&root), SiteAddr(1));
-    sim.dns.register(&service.dns_name(&bp), SiteAddr(2));
+    service.register_owner(&mut sim.dns, &root, SiteAddr(1));
+    service.register_owner(&mut sim.dns, &bp, SiteAddr(2));
     sim.add_site(oa1);
     sim.add_site(oa2);
 

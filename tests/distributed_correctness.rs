@@ -1,12 +1,18 @@
 //! Differential correctness: for randomly generated workload queries, the
 //! answer produced by the *distributed* system (fragments, DNS routing,
 //! QEG gathering, caching) must equal direct XPath evaluation over the
-//! single master document — under every architecture and caching mode.
+//! single master document — under every architecture and caching mode,
+//! on the DES and on the sharded runtime. The generator mixes in
+//! *unpinned* queries, which pin no id prefix and so route by the empty
+//! LCA path (the service apex) to the root owner.
 
-use irisnet_bench::{build_cluster, Arch, DbParams, ParkingDb, Workload};
-use irisnet_core::{CacheMode, Message, OaConfig};
+use std::time::Duration;
+
+use irisdns::SiteAddr;
+use irisnet_bench::{build_cluster, Arch, DbParams, ParkingDb, ScaleHierarchy, Workload};
+use irisnet_core::{CacheMode, Message, OaConfig, OrganizingAgent};
 use sensorxml::Document;
-use simnet::CostModel;
+use simnet::{CostModel, ShardConfig, ShardedCluster};
 
 /// Evaluates `query` directly on the master document and returns the
 /// multiset of canonical strings of the selected subtrees.
@@ -54,17 +60,47 @@ fn smallish() -> DbParams {
     }
 }
 
+/// The id prefix every workload query pins down to the county.
+const COUNTY_PREFIX: &str = "/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']";
+
+/// An unpinned variant of workload query `q`, one of three shapes by `k`:
+/// the root step without its id, a leading `//`, or every available space.
+/// None pins an id prefix, so each routes by the empty LCA path.
+fn unpinned(q: &str, k: usize) -> String {
+    let out = match k % 3 {
+        0 => q.replacen("/usRegion[@id='NE']", "/usRegion", 1),
+        1 => q.replacen(COUNTY_PREFIX, "/", 1),
+        _ => "//parkingSpace[available='yes']".to_string(),
+    };
+    let expr = sensorxpath::parse(&out).expect("unpinned query parses");
+    assert!(irisnet_core::routing::lca_id_path(&expr).is_empty(), "{out} is pinned");
+    out
+}
+
+/// The generator: the QW mix, each third query followed by an unpinned
+/// variant of it.
+fn query_stream(db: &ParkingDb, seed: u64, n: usize) -> Vec<String> {
+    let mut w = Workload::qw_mix(db, seed);
+    let mut out = Vec::new();
+    for k in 0..n {
+        let q = w.next_query();
+        if k % 3 == 0 {
+            out.push(unpinned(&q, k / 3));
+        }
+        out.push(q);
+    }
+    out
+}
+
 fn check_arch(arch: Arch, cache: CacheMode, seed: u64, queries: usize) {
     let db = ParkingDb::generate(smallish(), seed);
     let cfg = OaConfig { cache, ..OaConfig::default() };
     // One long-lived cluster: caches warm up across queries, so later
     // queries exercise the partial-match reuse paths too.
     let mut built = build_cluster(arch, &db, CostModel::default(), cfg, 9);
-    let mut w = Workload::qw_mix(&db, seed.wrapping_add(1));
-    for k in 0..queries {
-        let q = w.next_query();
-        let expected = oracle(&db.master, &q);
-        let got = pose_sync(&mut built, &q);
+    for (k, q) in query_stream(&db, seed.wrapping_add(1), queries).iter().enumerate() {
+        let expected = oracle(&db.master, q);
+        let got = pose_sync(&mut built, q);
         assert_eq!(
             got, expected,
             "{arch:?} cache={cache:?}: answer mismatch for query {k}: {q}"
@@ -92,9 +128,15 @@ fn pose_sync(built: &mut irisnet_bench::BuiltCluster, query: &str) -> Vec<String
                 .dns
                 .lookup(&name)
                 .map(|a| a.addr)
-                .expect("resolvable")
+                .unwrap_or_else(|| panic!("{name} is unresolvable for {query}"))
         }
     };
+    pose_at(built, entry, query)
+}
+
+/// Poses one query at `entry` through the DES and returns the canonical
+/// answer set.
+fn pose_at(built: &mut irisnet_bench::BuiltCluster, entry: SiteAddr, query: &str) -> Vec<String> {
     let start = built.sim.now();
     built.sim.schedule_message(
         start,
@@ -141,6 +183,48 @@ fn central_query_dist_update_matches_oracle() {
 #[test]
 fn two_level_dns_matches_oracle() {
     check_arch(Arch::TwoLevelDns, CacheMode::Aggressive, 5, 20);
+}
+
+/// A freshly joined site holds no data, so it forwards every query to the
+/// apex owner; that must work for pinned and unpinned queries alike.
+#[test]
+fn empty_joined_site_forwards_to_the_apex_owner() {
+    let db = ParkingDb::generate(smallish(), 6);
+    let mut built =
+        build_cluster(Arch::Hierarchical, &db, CostModel::default(), OaConfig::default(), 9);
+    let joined = SiteAddr(99);
+    built.sim.add_site(OrganizingAgent::new(joined, db.service.clone(), OaConfig::default()));
+    for (k, q) in query_stream(&db, 7, 9).iter().enumerate() {
+        let expected = oracle(&db.master, q);
+        assert_eq!(pose_at(&mut built, joined, q), expected, "query {k} via the joined site: {q}");
+    }
+}
+
+/// The same generator on the sharded runtime, through
+/// `ShardClient::pose_query`'s self-starting routing.
+#[test]
+fn sharded_runtime_matches_oracle() {
+    let h = ScaleHierarchy::with_sites(13, 8);
+    let mut cluster = ShardedCluster::with_config(
+        h.db.service.clone(),
+        ShardConfig { shards: 2, workers_per_shard: 1, force_wire: false },
+    );
+    for (path, addr) in &h.owners {
+        cluster.register_owner(path, *addr);
+    }
+    for a in h.make_agents(&OaConfig::default()) {
+        cluster.add_site(a);
+    }
+    cluster.start();
+    let mut client = cluster.client();
+    for (k, q) in query_stream(&h.db, 9, 30).iter().enumerate() {
+        let r = client
+            .pose_query(q, Duration::from_secs(30))
+            .unwrap_or_else(|| panic!("query {k} was not routed: {q}"));
+        assert!(r.ok && !r.partial, "query {k} failed: {q}: {}", r.answer_xml);
+        assert_eq!(answer_set(&r.answer_xml), oracle(&h.db.master, q), "query {k}: {q}");
+    }
+    cluster.shutdown();
 }
 
 #[test]

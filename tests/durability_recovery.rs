@@ -127,8 +127,8 @@ fn des_crash_restart(
     let (oa1, mut oa2) = carve(&db, &carved, config());
     let stats = attach_backend(&mut oa2, Box::new(backend), 0.0);
     assert_eq!(stats, RecoveryStats::default(), "fresh backend had state");
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-    sim.dns.register(&svc.dns_name(&carved), SiteAddr(2));
+    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
+    svc.register_owner(&mut sim.dns, &carved, SiteAddr(2));
     sim.add_site(oa1);
     sim.add_site(oa2);
     sim.set_fault_plan(FaultPlan::reliable());
@@ -228,8 +228,8 @@ fn durability_on_vs_off_answers_identical() {
                 wals.push(oa.wal().expect("wal attached"));
             }
         }
-        sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-        sim.dns.register(&svc.dns_name(&carved), SiteAddr(2));
+        svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
+        svc.register_owner(&mut sim.dns, &carved, SiteAddr(2));
         sim.add_site(oa1);
         sim.add_site(oa2);
         sim.schedule_message(5.0, SiteAddr(2), update_msg(&carved_space(&db)));
@@ -324,8 +324,8 @@ fn sharded_crash_restart_heals() {
     // answer must be byte-identical to the virtual-time answer.
     let mut sim = DesCluster::new(CostModel::default());
     let (oa1, oa2) = carve(&db, &carved, config());
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-    sim.dns.register(&svc.dns_name(&carved), SiteAddr(2));
+    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
+    svc.register_owner(&mut sim.dns, &carved, SiteAddr(2));
     sim.add_site(oa1);
     sim.add_site(oa2);
     sim.schedule_message(5.0, SiteAddr(2), update_msg(&carved_space(&db)));

@@ -93,8 +93,8 @@ fn permanent_crash_degrades_to_partial_answers() {
     oa1.db_mut().evict(&carved).unwrap();
     let oa2 = OrganizingAgent::new(SiteAddr(2), svc.clone(), config());
     oa2.db_mut().bootstrap_owned(&db.master, &carved, true).unwrap();
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-    sim.dns.register(&svc.dns_name(&carved), SiteAddr(2));
+    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
+    svc.register_owner(&mut sim.dns, &carved, SiteAddr(2));
     sim.add_site(oa1);
     sim.add_site(oa2);
     sim.set_fault_plan(FaultPlan::reliable().with_crash(SiteAddr(2), 100.0, f64::INFINITY));
@@ -185,8 +185,8 @@ fn temporary_crash_heals_after_restart_from_log() {
     let (store, recovered) =
         SiteStore::open(Box::new(backend.clone()), DurabilityConfig::default()).unwrap();
     oa2.attach_durability(store, recovered, 0.0).unwrap();
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-    sim.dns.register(&svc.dns_name(&carved), SiteAddr(2));
+    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
+    svc.register_owner(&mut sim.dns, &carved, SiteAddr(2));
     sim.add_site(oa1);
     sim.add_site(oa2);
 

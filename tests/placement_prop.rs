@@ -46,12 +46,12 @@ fn build(db: &ParkingDb, placement: &[u8], sites: u8) -> DesCluster {
                 .unwrap();
         }
     }
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
+    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
     // Blocks by placement.
     for (i, bp) in db.all_block_paths().into_iter().enumerate() {
         let site_idx = 1 + (placement[i % placement.len()] as usize % sites as usize);
         agents[site_idx].db_mut().bootstrap_owned(&db.master, &bp, true).unwrap();
-        sim.dns.register(&svc.dns_name(&bp), SiteAddr(site_idx as u32 + 1));
+        svc.register_owner(&mut sim.dns, &bp, SiteAddr(site_idx as u32 + 1));
     }
     for a in agents {
         sim.add_site(a);

@@ -82,9 +82,8 @@ fn des_run(db: &ParkingDb, rec: Arc<dyn Recorder>) -> Vec<(u64, String, bool, bo
     sim.set_recorder(rec);
     let (oa1, oa2) = make_agents(db, OaConfig::default());
     let svc = db.service.clone();
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-    sim.dns
-        .register(&svc.dns_name(&db.neighborhood_path(0, 1)), SiteAddr(2));
+    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
+    svc.register_owner(&mut sim.dns, &db.neighborhood_path(0, 1), SiteAddr(2));
     sim.add_site(oa1);
     sim.add_site(oa2);
     let queries = query_mix(db);
@@ -190,9 +189,8 @@ fn des_flight_recorder_captures_partial_query_via_scrape() {
     sim.set_recorder(tel.clone());
     let (oa1, oa2) = make_agents(&db, config());
     let svc = db.service.clone();
-    sim.dns.register(&svc.dns_name(&db.root_path()), SiteAddr(1));
-    sim.dns
-        .register(&svc.dns_name(&db.neighborhood_path(0, 1)), SiteAddr(2));
+    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
+    svc.register_owner(&mut sim.dns, &db.neighborhood_path(0, 1), SiteAddr(2));
     sim.add_site(oa1);
     sim.add_site(oa2);
 
