@@ -20,11 +20,13 @@
 //! naive creation dominates the total (fast creation halves it); the 8×
 //! database adds <20% per node.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use irisdns::SiteAddr;
 use irisnet_bench::{DbParams, ParkingDb};
-use irisnet_core::{CacheMode, OaConfig, OrganizingAgent, QegEngine};
+use irisnet_core::{CacheMode, NativeWalk, OaConfig, OrganizingAgent, PassEngine};
+use irisnet_xslt_oracle::{Creation, XsltQeg};
 use simnet::{ShardConfig, ShardedCluster};
 
 struct Built {
@@ -35,7 +37,7 @@ struct Built {
 }
 
 /// Hierarchical (Architecture 4) placement, one shard event loop per site.
-fn build(db: &ParkingDb, engine: QegEngine) -> Built {
+fn build(db: &ParkingDb, engine: Arc<dyn PassEngine>) -> Built {
     // Caching is disabled so that every query pays its true routing cost
     // (the paper's micro-benchmark measures the gathering path, not the
     // cache).
@@ -96,7 +98,7 @@ struct Breakdown {
     rest_ms: f64,
 }
 
-fn measure(db: &ParkingDb, engine: QegEngine, level: usize, n: u64) -> Breakdown {
+fn measure(db: &ParkingDb, engine: Arc<dyn PassEngine>, level: usize, n: u64) -> Breakdown {
     let built = build(db, engine);
     let cluster = built.cluster;
     let target = [built.county_site, built.city_site, built.nbhd_site][level];
@@ -143,20 +145,27 @@ fn main() {
     println!("== Fig. 11: micro-benchmarks — query time breakdown (ms/query) ==");
     println!("(type 1 query injected at (i) county, (ii) city, (iii) neighborhood site)\n");
     let n = 200;
-    let settings: Vec<(&str, DbParams, QegEngine)> = vec![
-        ("Small DB, naive XSLT creation", DbParams::small(), QegEngine::XsltNaive),
-        ("Small DB, fast XSLT creation", DbParams::small(), QegEngine::XsltFast),
-        ("Small DB, native executor", DbParams::small(), QegEngine::Native),
-        ("Large DB (8x), fast XSLT creation", DbParams::large(), QegEngine::XsltFast),
+    // `None` is the native executor.
+    let settings: Vec<(&str, DbParams, Option<Creation>)> = vec![
+        ("Small DB, naive XSLT creation", DbParams::small(), Some(Creation::Naive)),
+        ("Small DB, fast XSLT creation", DbParams::small(), Some(Creation::Fast)),
+        ("Small DB, native executor", DbParams::small(), None),
+        ("Large DB (8x), fast XSLT creation", DbParams::large(), Some(Creation::Fast)),
     ];
     println!(
         "{:<36} {:>6} {:>9} {:>9} {:>9} {:>7} {:>8}",
         "Setting", "level", "create", "exec", "comm", "rest", "total"
     );
     println!("{}", "-".repeat(90));
-    for (label, params, engine) in settings {
+    for (label, params, creation) in settings {
         let db = ParkingDb::generate(params, 1);
         for (li, lname) in ["(i)", "(ii)", "(iii)"].iter().enumerate() {
+            // A fresh engine per cell, so every cell starts with an empty
+            // skeleton cache; the cell's sites share it.
+            let engine: Arc<dyn PassEngine> = match creation {
+                Some(c) => Arc::new(XsltQeg::new(c)),
+                None => Arc::new(NativeWalk),
+            };
             let b = measure(&db, engine, li, n);
             println!(
                 "{:<36} {:>6} {:>8.2}m {:>8.2}m {:>8.2}m {:>6.2}m {:>7.2}m",

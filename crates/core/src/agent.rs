@@ -44,7 +44,7 @@ use crate::idable::IdPath;
 use crate::obs::ObsPlane;
 use crate::qeg::{
     extract_user_answer, generalized_subquery, literal_subquery, matched_final_paths, plan_query,
-    Ask, AskKind, QegEngine, QegFactory, QueryPlan,
+    Ask, AskKind, NativeWalk, PassEngine, QegFactory, QueryPlan,
 };
 use crate::routing::lca_id_path;
 use crate::service::Service;
@@ -386,18 +386,22 @@ impl Default for RetryPolicy {
     }
 }
 
+/// DNS resolver cache TTL (seconds).
+const DNS_TTL_S: f64 = 60.0;
+
+/// Maximum gather iterations per query before answering with whatever was
+/// assembled.
+const MAX_GATHER_ITERATIONS: u32 = 16;
+
 /// Agent configuration.
 #[derive(Debug, Clone)]
 pub struct OaConfig {
     pub cache: CacheMode,
-    /// How QEG passes run: the native walk (default), or the paper's XSLT
-    /// program with fast or naive creation (the oracle and Fig. 11 arms).
-    pub engine: QegEngine,
-    /// DNS resolver cache TTL (seconds).
-    pub dns_ttl: f64,
-    /// Maximum gather iterations per query before answering with whatever
-    /// was assembled.
-    pub max_iterations: u32,
+    /// How QEG passes run: the native walk ([`NativeWalk`], the default),
+    /// or another [`PassEngine`] — the XSLT oracle crate's naive and fast
+    /// creation are the Fig. 11 arms. Every agent built from this config
+    /// shares the one engine.
+    pub engine: Arc<dyn PassEngine>,
     /// Probability that a query is allowed to use cached (`complete`) data;
     /// the remainder refresh from owners even when a copy is cached. 1.0
     /// reproduces the paper's aggressive caching, 0.0 its "caching with no
@@ -423,9 +427,7 @@ impl Default for OaConfig {
     fn default() -> Self {
         OaConfig {
             cache: CacheMode::Aggressive,
-            engine: QegEngine::Native,
-            dns_ttl: 60.0,
-            max_iterations: 16,
+            engine: Arc::new(NativeWalk),
             cache_hit_prob: 1.0,
             eviction: EvictionPolicy::KeepForever,
             cache_admission: true,
@@ -527,9 +529,7 @@ pub struct OrganizingAgent {
     db: Arc<RwLock<SiteDatabase>>,
     pub config: OaConfig,
     pub stats: OaStats,
-    /// Shared across read workers; under the XSLT engines its skeleton
-    /// cache has interior mutability so fast-creation hits don't serialize
-    /// the pool.
+    /// Shared across read workers.
     qeg: Arc<QegFactory>,
     resolver: CachingResolver,
     pending: HashMap<QueryId, Pending>,
@@ -581,9 +581,9 @@ impl OrganizingAgent {
         OrganizingAgent {
             addr,
             service: service.clone(),
-            db: Arc::new(RwLock::new(SiteDatabase::new(service.clone()))),
-            qeg: Arc::new(QegFactory::new(service, config.engine)),
-            resolver: CachingResolver::new(config.dns_ttl),
+            db: Arc::new(RwLock::new(SiteDatabase::new(service))),
+            qeg: Arc::new(QegFactory::new(config.engine.clone())),
+            resolver: CachingResolver::new(DNS_TTL_S),
             config,
             stats: OaStats::default(),
             pending: HashMap::new(),
@@ -603,17 +603,9 @@ impl OrganizingAgent {
     }
 
     /// Attaches an observability recorder. When the recorder is enabled,
-    /// every message handled from here on records causally-linked spans,
-    /// and the QEG factory's counters are adopted into the recorder's
-    /// metrics registry as named per-site series (same storage — the
-    /// factory keeps updating them, the registry snapshots them).
+    /// every message handled from here on records causally-linked spans.
     pub fn set_recorder(&mut self, rec: Arc<dyn Recorder>) {
         self.obs = ObsPlane::new(rec);
-        if let Some(reg) = self.obs.registry() {
-            for (name, counter) in self.qeg.counter_handles() {
-                reg.adopt_counter(self.addr.0, name, counter);
-            }
-        }
     }
 
     /// Substrate hint: how long the message about to be dispatched waited
@@ -1208,7 +1200,7 @@ impl OrganizingAgent {
     ) {
         let Some(pending) = self.pending.get_mut(&pid) else { return };
         pending.iterations += 1;
-        if pending.iterations > self.config.max_iterations {
+        if pending.iterations > MAX_GATHER_ITERATIONS {
             self.issue_finalize(pid, dns, now, oc);
             return;
         }

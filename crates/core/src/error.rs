@@ -12,8 +12,6 @@ pub enum CoreError {
     Xml(sensorxml::XmlError),
     /// Underlying XPath problem (parse or evaluation).
     XPath(sensorxpath::XPathError),
-    /// Underlying XSLT problem.
-    Xslt(sensorxslt::XsltError),
     /// A query was malformed for distributed processing (e.g. no id-pinned
     /// prefix and no root owner to fall back to).
     Query(String),
@@ -36,7 +34,6 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Xml(e) => write!(f, "xml: {e}"),
             CoreError::XPath(e) => write!(f, "xpath: {e}"),
-            CoreError::Xslt(e) => write!(f, "xslt: {e}"),
             CoreError::Query(m) => write!(f, "bad query: {m}"),
             CoreError::Invariant(m) => write!(f, "invariant violation: {m}"),
             CoreError::Protocol(m) => write!(f, "protocol error: {m}"),
@@ -58,12 +55,6 @@ impl From<sensorxml::XmlError> for CoreError {
 impl From<sensorxpath::XPathError> for CoreError {
     fn from(e: sensorxpath::XPathError) -> Self {
         CoreError::XPath(e)
-    }
-}
-
-impl From<sensorxslt::XsltError> for CoreError {
-    fn from(e: sensorxslt::XsltError) -> Self {
-        CoreError::Xslt(e)
     }
 }
 

@@ -12,8 +12,9 @@
 //! * [`fragment`] — per-site databases, statuses, invariants I1/I2,
 //!   merging under C1/C2, eviction ([`fragment::SiteDatabase`]);
 //! * [`qeg`] — query-evaluate-gather: query plans, the native plan-driven
-//!   walk, and the paper's XPATH → XSLT compilation (naive and fast) kept
-//!   as its oracle, subquery generation (§3.5, §4);
+//!   walk behind a one-method pass seam, subquery generation and answer
+//!   extraction (§3.5, §4); the paper's XPATH → XSLT compilation is kept
+//!   outside the runtime, in the `irisnet-xslt-oracle` crate;
 //! * [`routing`] — self-starting distributed queries via DNS names derived
 //!   from the query text (§3.4);
 //! * [`agent`] — the organizing agent state machine (queries, subqueries,
@@ -47,7 +48,7 @@ pub use eviction::{
 pub use fragment::{FragmentStats, SiteDatabase, Status, UnitCost};
 pub use idable::IdPath;
 pub use obs::ObsPlane;
-pub use qeg::{QegEngine, QegFactory, QegOutcome, QegPass};
+pub use qeg::{NativeWalk, PassEngine, QegFactory, QegPass};
 pub use routing::lca_dns_name;
 pub use service::{Schema, Service};
 pub use storage::{

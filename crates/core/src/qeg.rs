@@ -8,24 +8,19 @@
 //! visited node's `status` attribute: descend, or *ask* for the node from
 //! its owner ([`Ask`]).
 //!
-//! A [`QegFactory`] runs passes with one of three engines ([`QegEngine`]):
-//!
-//! * [`QegEngine::Native`] (the default) — `exec::execute` walks the site
-//!   database by plan and returns the asks directly: no program, no output
-//!   document, no re-scan;
-//! * [`QegEngine::XsltFast`] — the paper's technique: the plan compiled into
-//!   an XSLT program whose templates emit `iris-ask` placeholders, created
-//!   from a compiled skeleton per query *shape* with only the
-//!   query-dependent XPath slots patched
-//!   ([`sensorxslt::Compiled::patch_slots`], the §4 optimization), then
-//!   executed and scanned by [`extract_asks`];
-//! * [`QegEngine::XsltNaive`] — the same program rendered to XSLT *text*,
-//!   then parsed and compiled from scratch (what the unoptimized prototype
-//!   did through standard interfaces).
-//!
-//! The two XSLT engines are the native walk's differential oracle
-//! (`tests/qeg_native_prop.rs`: equal asks and errors) and the two arms of
-//! the paper's Fig. 11 creation ablation (`exp_micro`).
+//! The paper builds each pass as an XSLT program whose templates emit
+//! placeholders for the asks, created cheaply from a compiled skeleton per
+//! query shape (§4). This crate runs the pass as a native plan-driven walk
+//! instead ([`NativeWalk`], `exec::execute`): it visits the nodes that
+//! program visits, takes the same branch of the status switch at each and
+//! returns the asks directly — no program, no output document, no re-scan.
+//! A [`QegFactory`] runs passes through the [`PassEngine`] seam; the
+//! paper's XSLT program lives outside the runtime, in the
+//! `irisnet-xslt-oracle` crate, which implements the seam for naive and
+//! fast creation as the walk's differential oracle
+//! (`tests/qeg_native_prop.rs`: equal asks and errors, byte-equal answers
+//! and trace digests) and as the arms of the Fig. 11 creation ablation
+//! (`exp_micro`).
 //!
 //! The gather phase differs from the paper in one mechanical respect,
 //! documented in DESIGN.md: instead of splicing subquery answers into the
@@ -35,19 +30,13 @@
 //! fragment. This is behaviourally equivalent and makes partial-match
 //! caching and answer assembly one mechanism.
 
-use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use irisobs::Counter;
-use parking_lot::Mutex;
 use sensorxml::Document;
 use sensorxpath::analysis::{split_step_predicates, SplitPredicates};
 use sensorxpath::{Axis, Expr, LocationPath, NodeTest, Step, Value, XNode};
-use sensorxslt::{
-    compile, AttrPart, Compiled, ExecOptions, ExprSlot, Instruction, Pattern, PatternStep,
-    Stylesheet, Template,
-};
 
 use crate::error::{CoreError, CoreResult};
 use crate::fragment::SiteDatabase;
@@ -138,22 +127,6 @@ impl DistStep {
         }
     }
 
-    fn pid_source(&self) -> String {
-        if !self.clean {
-            return "true()".to_string();
-        }
-        sensorxpath::optimize(&Expr::conjunction(self.pid.clone())).to_string()
-    }
-
-    fn full_source(&self) -> String {
-        let mut all = self.pid.clone();
-        all.extend(self.prest.clone());
-        sensorxpath::optimize(&Expr::conjunction(all)).to_string()
-    }
-
-    fn pcons_source(&self) -> String {
-        sensorxpath::optimize(&Expr::conjunction(self.pcons.clone())).to_string()
-    }
 }
 
 /// A distributable query plan.
@@ -346,15 +319,6 @@ impl AskKind {
             AskKind::Subtree => "subtree",
         }
     }
-
-    fn parse(s: &str) -> Option<AskKind> {
-        match s {
-            "query" => Some(AskKind::Query),
-            "stale" => Some(AskKind::Stale),
-            "subtree" => Some(AskKind::Subtree),
-            _ => None,
-        }
-    }
 }
 
 /// A gather request produced by a QEG run: fetch `path` from its owner.
@@ -450,284 +414,43 @@ pub fn literal_subquery(plan: &QueryPlan, ask: &Ask) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Stylesheet generation
+// Passes
 // ---------------------------------------------------------------------
-
-/// Shape key for the fast-path skeleton cache: everything that determines
-/// template structure (but not the predicate contents).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ShapeKey {
-    steps: Vec<(u8, Option<String>, bool, bool, bool, bool)>,
-    fetch_at: Option<usize>,
-    ignore_complete: bool,
-}
-
-impl ShapeKey {
-    fn of(plan: &QueryPlan, ignore_complete: bool) -> ShapeKey {
-        ShapeKey {
-            ignore_complete,
-            steps: plan
-                .dist_steps
-                .iter()
-                .map(|s| {
-                    let (d, tag) = match &s.kind {
-                        StepKind::Tag(t) => (0u8, Some(t.clone())),
-                        StepKind::Wildcard => (1, None),
-                        StepKind::Descendant => (2, None),
-                    };
-                    (
-                        d,
-                        tag,
-                        s.pid.is_empty(),
-                        s.prest.is_empty(),
-                        s.pcons.is_empty(),
-                        s.clean,
-                    )
-                })
-                .collect(),
-            fetch_at: plan.fetch_subtree_at,
-        }
-    }
-}
-
-/// The query-dependent slots of a generated stylesheet, for patching.
-#[derive(Debug, Clone, Default)]
-struct StepSlots {
-    pid: Option<ExprSlot>,
-    full: Option<ExprSlot>,
-    pcons: Option<ExprSlot>,
-    gate: Option<ExprSlot>,
-    /// The descend select when it embeds the *next* step's id predicate
-    /// (`tag[@id = 'x']`); query-dependent, so patched alongside the rest.
-    next_sel: Option<ExprSlot>,
-}
-
-/// A ready-to-run XSLT QEG program (the two XSLT engines).
-#[derive(Debug, Clone)]
-pub struct QegProgram {
-    pub compiled: Compiled,
-    start_mode: String,
-}
-
-impl QegProgram {
-    /// Runs the program against a site database, returning the annotated
-    /// output and the extracted asks.
-    pub fn execute(&self, db: &SiteDatabase, now: f64) -> CoreResult<QegOutcome> {
-        let output = sensorxslt::apply_with_options(
-            &self.compiled,
-            db.doc(),
-            ExecOptions {
-                now,
-                start_mode: Some(self.start_mode.clone()),
-                ..ExecOptions::default()
-            },
-        )?;
-        let asks = extract_asks(&output)?;
-        Ok(QegOutcome { output, asks })
-    }
-}
-
-/// Result of one XSLT QEG run.
-#[derive(Debug)]
-pub struct QegOutcome {
-    /// The annotated XSLT output (copied id skeleton + `iris-ask`
-    /// placeholders).
-    pub output: Document,
-    /// The gather requests found in the output.
-    pub asks: Vec<Ask>,
-}
-
-impl QegOutcome {
-    /// True when the local fragment sufficed.
-    pub fn is_complete(&self) -> bool {
-        self.asks.is_empty()
-    }
-}
-
-/// Walks a QEG output document and collects the `iris-ask` placeholders,
-/// reconstructing each target's id path from the placeholder's copied
-/// ancestors.
-pub fn extract_asks(output: &Document) -> CoreResult<Vec<Ask>> {
-    let Some(root) = output.root() else {
-        return Ok(Vec::new());
-    };
-    let mut asks = Vec::new();
-    for n in output.descendants(root) {
-        if output.name(n) != "iris-ask" {
-            continue;
-        }
-        let tag = output
-            .attr(n, "tag")
-            .ok_or_else(|| CoreError::Protocol("iris-ask without tag".into()))?;
-        let id = output
-            .attr(n, "id")
-            .ok_or_else(|| CoreError::Protocol("iris-ask without id".into()))?;
-        let kind = output
-            .attr(n, "kind")
-            .and_then(AskKind::parse)
-            .ok_or_else(|| CoreError::Protocol("iris-ask with bad kind".into()))?;
-        let step = output
-            .attr(n, "step")
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(usize::MAX);
-        // Ancestors: every element between the placeholder and the <result>
-        // wrapper is a copied IDable node carrying its id.
-        let mut rev: Vec<(String, String)> = vec![(tag.to_string(), id.to_string())];
-        for a in output.ancestors(n) {
-            if a == root {
-                break;
-            }
-            let a_id = output.attr(a, "id").ok_or_else(|| {
-                CoreError::Protocol("iris-ask ancestor without id".into())
-            })?;
-            rev.push((output.name(a).to_string(), a_id.to_string()));
-        }
-        rev.reverse();
-        let mut dedup_path = IdPath::root();
-        for (t, i) in rev {
-            dedup_path = dedup_path.child(t, i);
-        }
-        asks.push(Ask { path: dedup_path, kind, step });
-    }
-    // The same node can be asked for via several branches; deduplicate.
-    asks.sort_by(|a, b| (&a.path, a.kind.as_str()).cmp(&(&b.path, b.kind.as_str())));
-    asks.dedup();
-    Ok(asks)
-}
-
-/// How a site runs its QEG passes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QegEngine {
-    /// Walk the site database by plan (`exec::execute`); nothing is
-    /// created per query.
-    #[default]
-    Native,
-    /// The paper's XSLT program, created fast: reuse a compiled skeleton
-    /// per query shape and re-parse only the query-dependent predicate
-    /// slots (§4).
-    XsltFast,
-    /// The paper's XSLT program, created naively: render → parse → compile
-    /// the full stylesheet per query (Fig. 11's unoptimized arm).
-    XsltNaive,
-}
 
 /// One QEG pass's asks and its create/execute split (seconds).
 #[derive(Debug)]
 pub struct QegPass {
     pub asks: Vec<Ask>,
-    /// Program creation time (≈ 0 for [`QegEngine::Native`]).
+    /// Program creation time (0 for the native walk, which creates none).
     pub create_s: f64,
     /// Execution time, ask extraction included.
     pub exec_s: f64,
 }
 
-/// Upper bound on distinct query shapes kept by the fast-path skeleton
-/// cache; beyond this the least-recently-used shape is evicted.
-pub const SKELETON_CACHE_CAP: usize = 64;
-
-/// One cached compiled skeleton plus the bookkeeping for LRU eviction.
-#[derive(Debug)]
-struct SkeletonEntry {
-    compiled: Compiled,
-    slots: Vec<StepSlots>,
-    start_mode: String,
-    last_used: u64,
+/// How a site runs one QEG pass. [`NativeWalk`] is the only engine in this
+/// crate; the paper's XSLT program implements the seam in the
+/// `irisnet-xslt-oracle` crate. An engine is shared by every agent built
+/// from one [`crate::OaConfig`] and by their read workers.
+pub trait PassEngine: fmt::Debug + Send + Sync {
+    /// Runs one pass over `db` for a query posed at `now`: the asks, sorted
+    /// by path and deduplicated. With `ignore_complete` cached (`complete`)
+    /// data is treated as stale.
+    fn run(
+        &self,
+        plan: &QueryPlan,
+        db: &SiteDatabase,
+        now: f64,
+        ignore_complete: bool,
+    ) -> CoreResult<QegPass>;
 }
 
-/// The bounded skeleton cache: shape -> compiled skeleton, with a logical
-/// clock driving least-recently-used eviction.
-#[derive(Debug, Default)]
-struct SkeletonCache {
-    map: HashMap<ShapeKey, SkeletonEntry>,
-    clock: u64,
-}
+/// The native pass: `exec::execute` walks the site database by plan;
+/// nothing is created per query.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NativeWalk;
 
-impl SkeletonCache {
-    fn touch(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Evicts least-recently-used entries until the cache fits `cap`.
-    /// Returns how many entries were dropped.
-    fn enforce_cap(&mut self, cap: usize) -> u64 {
-        let mut evicted = 0;
-        while self.map.len() > cap {
-            let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            self.map.remove(&oldest);
-            evicted += 1;
-        }
-        evicted
-    }
-}
-
-/// Runs QEG passes with the configured [`QegEngine`], and creates the XSLT
-/// programs of the two XSLT engines.
-///
-/// The factory is shared across read workers (`Arc<QegFactory>` in the
-/// sharded runtime): creation takes `&self`, the skeleton cache sits behind
-/// a mutex held only for lookup/insert (never across a compile), and the
-/// counters are atomics. Fast-path cache *hits* therefore stay cheap and
-/// concurrent — a miss compiles outside the lock, so a burst of new shapes
-/// doesn't serialize the pool either. The native engine touches neither
-/// the cache nor the counters: `qeg.created` and the skeleton series read
-/// 0 under it.
-#[derive(Debug)]
-pub struct QegFactory {
-    /// The service this factory generates programs for (kept for
-    /// diagnostics; codegen itself is schema-independent).
-    pub service: Arc<Service>,
-    engine: QegEngine,
-    skeletons: Mutex<SkeletonCache>,
-    // Counters are `Arc<irisobs::Counter>` so the observability plane can
-    // adopt the *same storage* as named series (no double counting, no
-    // second update on the hot path).
-    created: Arc<Counter>,
-    skeleton_hits: Arc<Counter>,
-    skeleton_misses: Arc<Counter>,
-    skeleton_evictions: Arc<Counter>,
-}
-
-impl QegFactory {
-    /// A factory for `service` running the given engine.
-    pub fn new(service: Arc<Service>, engine: QegEngine) -> QegFactory {
-        QegFactory {
-            service,
-            engine,
-            skeletons: Mutex::new(SkeletonCache::default()),
-            created: Arc::new(Counter::new()),
-            skeleton_hits: Arc::new(Counter::new()),
-            skeleton_misses: Arc::new(Counter::new()),
-            skeleton_evictions: Arc::new(Counter::new()),
-        }
-    }
-
-    /// The factory's counters as `(series name, shared storage)` pairs, for
-    /// adoption into a metrics registry.
-    pub fn counter_handles(&self) -> [(&'static str, Arc<Counter>); 4] {
-        [
-            ("qeg.created", self.created.clone()),
-            ("qeg.skeleton_hits", self.skeleton_hits.clone()),
-            ("qeg.skeleton_misses", self.skeleton_misses.clone()),
-            ("qeg.skeleton_evictions", self.skeleton_evictions.clone()),
-        ]
-    }
-
-    /// The configured engine.
-    pub fn engine(&self) -> QegEngine {
-        self.engine
-    }
-
-    /// Runs one QEG pass over `db` for a query posed at `now`; with
-    /// `ignore_complete` cached (`complete`) data is treated as stale.
-    pub fn run(
+impl PassEngine for NativeWalk {
+    fn run(
         &self,
         plan: &QueryPlan,
         db: &SiteDatabase,
@@ -735,455 +458,52 @@ impl QegFactory {
         ignore_complete: bool,
     ) -> CoreResult<QegPass> {
         let t0 = Instant::now();
-        if self.engine == QegEngine::Native {
-            let asks = exec::execute(plan, db, now, ignore_complete)?;
-            return Ok(QegPass { asks, create_s: 0.0, exec_s: t0.elapsed().as_secs_f64() });
-        }
-        let program = self.create_with(plan, ignore_complete)?;
-        let create_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let asks = program.execute(db, now)?.asks;
-        Ok(QegPass { asks, create_s, exec_s: t1.elapsed().as_secs_f64() })
+        let asks = exec::execute(plan, db, now, ignore_complete)?;
+        Ok(QegPass { asks, create_s: 0.0, exec_s: t0.elapsed().as_secs_f64() })
+    }
+}
+
+/// The error a pass returns past its nesting bound: 128 levels, counted
+/// like the XSLT interpreter's template recursion (one per
+/// `apply-templates`, starting at the document node).
+pub fn too_deep() -> CoreError {
+    CoreError::Query(format!("QEG walk nests deeper than {} levels", exec::MAX_WALK_DEPTH))
+}
+
+/// Runs a site's QEG passes with its configured [`PassEngine`]; shared
+/// across the site's read workers (`Arc<QegFactory>`).
+#[derive(Debug)]
+pub struct QegFactory {
+    engine: Arc<dyn PassEngine>,
+}
+
+impl QegFactory {
+    /// A factory running passes with `engine`.
+    pub fn new(engine: Arc<dyn PassEngine>) -> QegFactory {
+        QegFactory { engine }
     }
 
-    /// XSLT programs created.
-    pub fn created(&self) -> u64 {
-        self.created.get()
-    }
-
-    /// Fast-path skeleton cache hits.
-    pub fn skeleton_hits(&self) -> u64 {
-        self.skeleton_hits.get()
-    }
-
-    /// Fast-path skeleton cache misses (shape not cached; full compile).
-    pub fn skeleton_misses(&self) -> u64 {
-        self.skeleton_misses.get()
-    }
-
-    /// Skeletons dropped by the LRU bound ([`SKELETON_CACHE_CAP`]).
-    pub fn skeleton_evictions(&self) -> u64 {
-        self.skeleton_evictions.get()
-    }
-
-    /// Distinct shapes currently cached (≤ [`SKELETON_CACHE_CAP`]).
-    pub fn skeleton_cache_len(&self) -> usize {
-        self.skeletons.lock().map.len()
-    }
-
-    /// Builds the XSLT QEG program for a plan.
-    pub fn create(&self, plan: &QueryPlan) -> CoreResult<QegProgram> {
-        self.create_with(plan, false)
-    }
-
-    /// Builds an XSLT QEG program — naively under [`QegEngine::XsltNaive`],
-    /// from the skeleton cache otherwise (a native factory asked for its
-    /// oracle program uses the fast path). With `ignore_complete` the
-    /// generated program treats cached (`complete`) data as stale and
-    /// always refreshes from the owner — the lever behind the paper's
-    /// controlled cache-hit-rate experiments (Fig. 10's "caching with no
-    /// hits").
-    pub fn create_with(
+    /// Runs one QEG pass (see [`PassEngine::run`]).
+    pub fn run(
         &self,
         plan: &QueryPlan,
+        db: &SiteDatabase,
+        now: f64,
         ignore_complete: bool,
-    ) -> CoreResult<QegProgram> {
-        self.created.inc();
-        match self.engine {
-            QegEngine::XsltNaive => {
-                // Full round trip through stylesheet *text*, like the
-                // unoptimized prototype.
-                let (sheet, _slots, start_mode) =
-                    generate_stylesheet(plan, ignore_complete);
-                let text = sheet.to_xml_text();
-                let reparsed = sensorxslt::parse_stylesheet(&text)?;
-                let compiled = compile(reparsed)?;
-                Ok(QegProgram { compiled, start_mode })
-            }
-            QegEngine::XsltFast | QegEngine::Native => {
-                let key = ShapeKey::of(plan, ignore_complete);
-                let hit = {
-                    let mut cache = self.skeletons.lock();
-                    let stamp = cache.touch();
-                    cache.map.get_mut(&key).map(|entry| {
-                        entry.last_used = stamp;
-                        (entry.compiled.clone(), slot_updates(plan, &entry.slots),
-                         entry.start_mode.clone())
-                    })
-                };
-                if let Some((mut compiled, updates, start_mode)) = hit {
-                    self.skeleton_hits.inc();
-                    compiled.patch_slots(&updates)?;
-                    return Ok(QegProgram { compiled, start_mode });
-                }
-                self.skeleton_misses.inc();
-                // Compile outside the lock; a racing worker compiling the
-                // same shape just overwrites with an identical skeleton.
-                let (sheet, slots, start_mode) = generate_stylesheet(plan, ignore_complete);
-                let compiled = compile(sheet)?;
-                let evicted = {
-                    let mut cache = self.skeletons.lock();
-                    let stamp = cache.touch();
-                    cache.map.insert(
-                        key,
-                        SkeletonEntry {
-                            compiled: compiled.clone(),
-                            slots,
-                            start_mode: start_mode.clone(),
-                            last_used: stamp,
-                        },
-                    );
-                    cache.enforce_cap(SKELETON_CACHE_CAP)
-                };
-                if evicted > 0 {
-                    self.skeleton_evictions.add(evicted);
-                }
-                Ok(QegProgram { compiled, start_mode })
-            }
-        }
-    }
-}
-
-/// The pid-narrowed descend select for a tag step: `tag[P_id]`.
-fn narrowed_select(tag: &str, ds: &DistStep) -> String {
-    format!("{tag}[{}]", ds.pid_source())
-}
-
-fn slot_updates(plan: &QueryPlan, slots: &[StepSlots]) -> Vec<(ExprSlot, String)> {
-    let mut updates = Vec::new();
-    for (i, (ds, ss)) in plan.dist_steps.iter().zip(slots).enumerate() {
-        if let Some(slot) = ss.pid {
-            updates.push((slot, ds.pid_source()));
-        }
-        if let Some(slot) = ss.full {
-            updates.push((slot, ds.full_source()));
-        }
-        if let Some(slot) = ss.pcons {
-            updates.push((slot, ds.pcons_source()));
-        }
-        // Gate tests embed P_id; regenerate them too.
-        if let Some(slot) = ss.gate {
-            updates.push((slot, gate_source(ds)));
-        }
-        // Descend selects embed the *next* step's P_id.
-        if let Some(slot) = ss.next_sel {
-            let nds = &plan.dist_steps[i + 1];
-            if let StepKind::Tag(t) = &nds.kind {
-                updates.push((slot, narrowed_select(t, nds)));
-            }
-        }
-    }
-    updates
-}
-
-/// Test used at the subtree pre-fetch step: the id predicate holds but the
-/// subtree is not fully local.
-fn gate_source(ds: &DistStep) -> String {
-    format!(
-        "({}) and count(descendant-or-self::*[@status='incomplete' or @status='id-complete']) > 0",
-        ds.pid_source()
-    )
-}
-
-/// Generates the QEG stylesheet for a plan. Returns the stylesheet, the
-/// per-step query-dependent slots (for fast-path patching), and the start
-/// mode.
-fn generate_stylesheet(
-    plan: &QueryPlan,
-    ignore_complete: bool,
-) -> (Stylesheet, Vec<StepSlots>, String) {
-    let mut sheet = Stylesheet::new();
-    let mut slots: Vec<StepSlots> = Vec::with_capacity(plan.dist_steps.len());
-
-    // Shared slots.
-    let sel_idable = sheet.slot("*[@status]");
-    let sel_id_attr = sheet.slot("@id");
-    let sel_name = sheet.slot("name()");
-    let final_idx = plan.final_step();
-
-    for (i, ds) in plan.dist_steps.iter().enumerate() {
-        let mode = format!("s{i}");
-        match &ds.kind {
-            StepKind::Descendant => {
-                slots.push(StepSlots::default());
-                // The descendant search template lives in mode s{i} and
-                // matches every IDable element; it tries the next step on
-                // the node itself and keeps searching below.
-                let next_mode = format!("s{}", i + 1);
-                let next_ds = plan
-                    .dist_steps
-                    .get(i + 1)
-                    .expect("descendant marker is never last");
-                let name_test = match &next_ds.kind {
-                    StepKind::Tag(t) => format!("name() = '{t}'"),
-                    _ => "true()".to_string(),
-                };
-                let t_name = sheet.slot(name_test);
-                let t_missing = sheet.slot("@status='incomplete'");
-                let self_sel = sheet.slot(".");
-                sheet.add_template(Template {
-                    pattern: Pattern::any_element(),
-                    mode: Some(mode.clone()),
-                    priority: None,
-                    body: vec![Instruction::Choose {
-                        branches: vec![(
-                            t_missing,
-                            // Cannot search below an incomplete node.
-                            vec![ask_instruction(AskKind::Query, i, sel_id_attr, sel_name)],
-                        )],
-                        otherwise: vec![
-                            Instruction::If {
-                                test: t_name,
-                                body: vec![Instruction::ApplyTemplates {
-                                    select: Some(self_sel),
-                                    mode: Some(next_mode),
-                                }],
-                            },
-                            // Keep searching inside a copied shell so that
-                            // deeper asks carry their ancestry.
-                            Instruction::Copy(vec![
-                                Instruction::CopyOf(sel_id_attr),
-                                Instruction::ApplyTemplates {
-                                    select: Some(sel_idable),
-                                    mode: Some(mode.clone()),
-                                },
-                            ]),
-                        ],
-                    }],
-                });
-            }
-            StepKind::Tag(_) | StepKind::Wildcard => {
-                let is_final = i == final_idx;
-                let pid = sheet.slot(ds.pid_source());
-                let full = sheet.slot(ds.full_source());
-                let pcons = if ds.pcons.is_empty() {
-                    None
-                } else {
-                    Some(sheet.slot(ds.pcons_source()))
-                };
-                let gate = if plan.fetch_subtree_at == Some(i) {
-                    Some(sheet.slot(gate_source(ds)))
-                } else {
-                    None
-                };
-
-                // Descend select for the next step. When the next step has a
-                // clean id predicate, embed it in the select
-                // (`tag[@id = 'x']`) so the evaluator's sibling-index fast
-                // path finds the child in O(1) instead of applying templates
-                // to every same-tag sibling. Semantically equivalent: every
-                // branch of the next step's template is gated on its P_id,
-                // so a node failing the select predicate contributes
-                // nothing. The embedded id makes the slot query-dependent;
-                // it is recorded in `StepSlots` and patched like the rest.
-                let next_sel = (!is_final).then(|| match &plan.dist_steps[i + 1].kind {
-                    StepKind::Tag(t) => {
-                        let nds = &plan.dist_steps[i + 1];
-                        if nds.clean && !nds.pid.is_empty() {
-                            (sheet.slot(narrowed_select(t, nds)), true)
-                        } else {
-                            (sheet.slot(t.clone()), false)
-                        }
-                    }
-                    StepKind::Wildcard | StepKind::Descendant => (sel_idable, false),
-                });
-                slots.push(StepSlots {
-                    pid: Some(pid),
-                    full: Some(full),
-                    pcons,
-                    gate,
-                    next_sel: next_sel
-                        .and_then(|(slot, patched)| patched.then_some(slot)),
-                });
-
-                // What to do once the node qualifies.
-                let descend = if is_final {
-                    // Collect the whole subtree: recurse in collect mode.
-                    vec![Instruction::Copy(vec![
-                        Instruction::CopyOf(sel_id_attr),
-                        Instruction::ApplyTemplates {
-                            select: Some(sel_idable),
-                            mode: Some("c".to_string()),
-                        },
-                    ])]
-                } else {
-                    let next_mode = format!("s{}", i + 1);
-                    let (sel, _) = next_sel.expect("non-final step has a next select");
-                    vec![Instruction::Copy(vec![
-                        Instruction::CopyOf(sel_id_attr),
-                        Instruction::ApplyTemplates {
-                            select: Some(sel),
-                            mode: Some(next_mode),
-                        },
-                    ])]
-                };
-
-                let mut branches: Vec<(ExprSlot, Vec<Instruction>)> = Vec::new();
-                if let Some(g) = gate {
-                    branches.push((
-                        g,
-                        vec![ask_instruction(AskKind::Subtree, i, sel_id_attr, sel_name)],
-                    ));
-                }
-                // owned: full predicate decides; consistency ignored.
-                let owned_test = sheet.slot("@status='owned'");
-                branches.push((
-                    owned_test,
-                    vec![Instruction::If { test: full, body: descend.clone() }],
-                ));
-                // complete: additionally check freshness (or, when cached
-                // data is administratively ignored, always refresh).
-                let complete_test = sheet.slot("@status='complete'");
-                let complete_body = if ignore_complete {
-                    // Refresh the *whole cached unit* from its owner (one
-                    // subtree fetch) instead of descending and asking per
-                    // leaf: the cache fills in subtree units, so it
-                    // refreshes in subtree units too.
-                    vec![Instruction::If {
-                        test: pid,
-                        body: vec![ask_instruction(
-                            AskKind::Stale,
-                            usize::MAX,
-                            sel_id_attr,
-                            sel_name,
-                        )],
-                    }]
-                } else {
-                    match pcons {
-                        None => vec![Instruction::If { test: full, body: descend.clone() }],
-                        Some(pc) => vec![Instruction::If {
-                            test: full,
-                            body: vec![Instruction::Choose {
-                                branches: vec![(pc, descend.clone())],
-                                otherwise: vec![ask_instruction(
-                                    AskKind::Stale,
-                                    i,
-                                    sel_id_attr,
-                                    sel_name,
-                                )],
-                            }],
-                        }],
-                    }
-                };
-                branches.push((complete_test, complete_body));
-                // id-complete: recurse without local info only when the
-                // predicates are id-only, this is not the final step, and
-                // no subtree gate applies.
-                let idc_test = sheet.slot("@status='id-complete'");
-                let idc_body = if !is_final
-                    && ds.prest.is_empty()
-                    && ds.pcons.is_empty()
-                    && ds.clean
-                    && plan.fetch_subtree_at != Some(i)
-                {
-                    vec![Instruction::If { test: pid, body: descend.clone() }]
-                } else {
-                    vec![Instruction::If {
-                        test: pid,
-                        body: vec![ask_instruction(
-                            AskKind::Query,
-                            i + 1,
-                            sel_id_attr,
-                            sel_name,
-                        )],
-                    }]
-                };
-                branches.push((idc_test, idc_body));
-                // otherwise = incomplete: ask if the id predicate allows.
-                let otherwise = vec![Instruction::If {
-                    test: pid,
-                    body: vec![ask_instruction(
-                        AskKind::Query,
-                        i + 1,
-                        sel_id_attr,
-                        sel_name,
-                    )],
-                }];
-
-                let pattern = match &ds.kind {
-                    StepKind::Tag(t) if i == 0 => Pattern {
-                        absolute: true,
-                        steps: vec![PatternStep {
-                            test: NodeTest::Name(t.clone()),
-                            predicates: vec![],
-                        }],
-                    },
-                    StepKind::Tag(t) => Pattern::element(t.clone()),
-                    _ => Pattern::any_element(),
-                };
-                sheet.add_template(Template {
-                    pattern,
-                    mode: Some(mode.clone()),
-                    priority: None,
-                    body: vec![Instruction::Choose { branches, otherwise }],
-                });
-                if i == 0 {
-                    // Catch-all: stop built-in recursion below non-matching
-                    // roots (an absolute first step matches the root only).
-                    sheet.add_template(Template {
-                        pattern: Pattern::any_element(),
-                        mode: Some(mode.clone()),
-                        priority: Some(-10.0),
-                        body: Vec::new(),
-                    });
-                }
-            }
-        }
+    ) -> CoreResult<QegPass> {
+        self.engine.run(plan, db, now, ignore_complete)
     }
 
-    // Collect mode: gather entire stored subtrees under final-step matches,
-    // asking for anything not complete (LOCAL-INFO-REQUIRED covers every
-    // IDable tag below the final step).
-    let c_have = sheet.slot("@status='owned' or @status='complete'");
-    sheet.add_template(Template {
-        pattern: Pattern::any_element(),
-        mode: Some("c".to_string()),
-        priority: None,
-        body: vec![Instruction::Choose {
-            branches: vec![(
-                c_have,
-                vec![Instruction::Copy(vec![
-                    Instruction::CopyOf(sel_id_attr),
-                    Instruction::ApplyTemplates {
-                        select: Some(sel_idable),
-                        mode: Some("c".to_string()),
-                    },
-                ])],
-            )],
-            otherwise: vec![ask_instruction(
-                AskKind::Subtree,
-                usize::MAX,
-                sel_id_attr,
-                sel_name,
-            )],
-        }],
-    });
+    /// Always 0: the runtime keeps no XSLT skeleton cache. `benchmark/`
+    /// reads this for `qeg.skeleton_hit_ratio` until ROADMAP item 1b(iv)
+    /// removes that read; delete it then.
+    pub fn skeleton_hits(&self) -> u64 {
+        0
+    }
 
-    let start_mode = "s0".to_string();
-    (sheet, slots, start_mode)
-}
-
-/// Builds the `iris-ask` placeholder emission.
-fn ask_instruction(
-    kind: AskKind,
-    step: usize,
-    sel_id_attr: ExprSlot,
-    sel_name: ExprSlot,
-) -> Instruction {
-    let step_text = if step == usize::MAX {
-        "max".to_string()
-    } else {
-        step.to_string()
-    };
-    Instruction::Element {
-        name: "iris-ask".to_string(),
-        attrs: vec![
-            ("tag".to_string(), vec![AttrPart::Expr(sel_name)]),
-            ("id".to_string(), vec![AttrPart::Expr(sel_id_attr)]),
-            ("kind".to_string(), vec![AttrPart::Literal(kind.as_str().to_string())]),
-            ("step".to_string(), vec![AttrPart::Literal(step_text)]),
-        ],
-        body: Vec::new(),
+    /// Always 0; kept for `benchmark/` like [`QegFactory::skeleton_hits`].
+    pub fn skeleton_misses(&self) -> u64 {
+        0
     }
 }
 
@@ -1455,10 +775,8 @@ mod tests {
     fn qeg_complete_data_produces_no_asks() {
         let db = owned_all();
         let p = plan(Q_PAPER);
-        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
-        let prog = f.create(&p).unwrap();
-        let out = prog.execute(&db, 0.0).unwrap();
-        assert!(out.is_complete(), "asks: {:?}", out.asks);
+        let asks = exec::execute(&p, &db, 0.0, false).unwrap();
+        assert!(asks.is_empty(), "asks: {asks:?}");
         // And extraction matches the expected two available spaces.
         let matched = matched_final_paths(&p, &db, 0.0).unwrap();
         assert_eq!(matched.len(), 2);
@@ -1479,11 +797,9 @@ mod tests {
         db.bootstrap_owned(&m, &pgh().child("neighborhood", "Oakland"), true)
             .unwrap();
         let p = plan(Q_PAPER);
-        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
-        let prog = f.create(&p).unwrap();
-        let out = prog.execute(&db, 0.0).unwrap();
-        assert_eq!(out.asks.len(), 1);
-        let ask = &out.asks[0];
+        let asks = exec::execute(&p, &db, 0.0, false).unwrap();
+        assert_eq!(asks.len(), 1);
+        let ask = &asks[0];
         assert_eq!(ask.kind, AskKind::Query);
         assert_eq!(ask.path, pgh().child("neighborhood", "Shadyside"));
         assert_eq!(ask.step, 5);
@@ -1507,9 +823,7 @@ mod tests {
                  /city[@id='Pittsburgh']/neighborhood[@id='Oakland']\
                  /block[@id='2']/parkingSpace";
         let p = plan(q);
-        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
-        let out = f.create(&p).unwrap().execute(&db, 0.0).unwrap();
-        assert!(out.is_complete());
+        assert!(exec::execute(&p, &db, 0.0, false).unwrap().is_empty());
         let matched = matched_final_paths(&p, &db, 0.0).unwrap();
         assert_eq!(matched.len(), 1);
     }
@@ -1518,9 +832,8 @@ mod tests {
     fn qeg_descendant_query() {
         let db = owned_all();
         let p = plan("/usRegion[@id='NE']//parkingSpace[price='0']");
-        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
-        let out = f.create(&p).unwrap().execute(&db, 0.0).unwrap();
-        assert!(out.is_complete(), "asks: {:?}", out.asks);
+        let asks = exec::execute(&p, &db, 0.0, false).unwrap();
+        assert!(asks.is_empty(), "asks: {asks:?}");
         let matched = matched_final_paths(&p, &db, 0.0).unwrap();
         assert_eq!(matched.len(), 2);
     }
@@ -1532,12 +845,9 @@ mod tests {
         db.bootstrap_owned(&m, &pgh().child("neighborhood", "Oakland"), true)
             .unwrap();
         let p = plan("/usRegion[@id='NE']//parkingSpace[price='0']");
-        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
-        let out = f.create(&p).unwrap().execute(&db, 0.0).unwrap();
-        assert!(!out.is_complete());
+        let asks = exec::execute(&p, &db, 0.0, false).unwrap();
         // Shadyside (incomplete) must be asked for.
-        assert!(out
-            .asks
+        assert!(asks
             .iter()
             .any(|a| a.path == pgh().child("neighborhood", "Shadyside")));
     }
@@ -1555,13 +865,12 @@ mod tests {
                  /parkingSpace[not(price > ../parkingSpace/price)]";
         let p = plan(q);
         assert_eq!(p.fetch_subtree_at, Some(5));
-        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
-        let out = f.create(&p).unwrap().execute(&db, 0.0).unwrap();
-        assert!(!out.is_complete());
+        let asks = exec::execute(&p, &db, 0.0, false).unwrap();
+        assert!(!asks.is_empty());
         // With the whole document owned, the same query runs locally.
         let db_full = owned_all();
-        let out2 = f.create(&p).unwrap().execute(&db_full, 0.0).unwrap();
-        assert!(out2.is_complete(), "asks: {:?}", out2.asks);
+        let asks2 = exec::execute(&p, &db_full, 0.0, false).unwrap();
+        assert!(asks2.is_empty(), "asks: {asks2:?}");
         let matched = matched_final_paths(&p, &db_full, 0.0).unwrap();
         assert_eq!(matched.len(), 1); // the price-0 space in block 1
     }
@@ -1592,160 +901,25 @@ mod tests {
                  /city[@id='Pittsburgh']/neighborhood[@id='Oakland']/block[@id='1']\
                  /parkingSpace[available='yes'][@timestamp > now() - 30]";
         let p = plan(q);
-        let f = QegFactory::new(Service::parking(), QegEngine::XsltFast);
         // Query posed at t=200: data from t=100 is 100s old, tolerance 30s.
-        let out = f.create(&p).unwrap().execute(&cache, 200.0).unwrap();
-        assert!(out.asks.iter().any(|a| a.kind == AskKind::Stale));
+        let asks = exec::execute(&p, &cache, 200.0, false).unwrap();
+        assert!(asks.iter().any(|a| a.kind == AskKind::Stale));
         // Fresh enough at t=110.
-        let out2 = f.create(&p).unwrap().execute(&cache, 110.0).unwrap();
-        assert!(out2.is_complete(), "asks: {:?}", out2.asks);
+        let asks2 = exec::execute(&p, &cache, 110.0, false).unwrap();
+        assert!(asks2.is_empty(), "asks: {asks2:?}");
         // The owner itself ignores consistency predicates.
-        let out3 = f.create(&p).unwrap().execute(&owner, 200.0).unwrap();
-        assert!(out3.is_complete(), "asks: {:?}", out3.asks);
-    }
-
-    #[test]
-    fn naive_and_fast_agree() {
-        let m = master();
-        let mut db = SiteDatabase::new(Service::parking());
-        db.bootstrap_owned(&m, &pgh().child("neighborhood", "Oakland"), true)
-            .unwrap();
-        let p = plan(Q_PAPER);
-        let naive = QegFactory::new(Service::parking(), QegEngine::XsltNaive);
-        let fast = QegFactory::new(Service::parking(), QegEngine::XsltFast);
-        let o1 = naive.create(&p).unwrap().execute(&db, 0.0).unwrap();
-        let o2 = fast.create(&p).unwrap().execute(&db, 0.0).unwrap();
-        assert_eq!(o1.asks, o2.asks);
-        assert_eq!(exec::execute(&p, &db, 0.0, false).unwrap(), o1.asks);
-        assert!(sensorxml::unordered_eq(
-            &o1.output,
-            o1.output.root().unwrap(),
-            &o2.output,
-            o2.output.root().unwrap()
-        ));
+        let asks3 = exec::execute(&p, &owner, 200.0, false).unwrap();
+        assert!(asks3.is_empty(), "asks: {asks3:?}");
     }
 
     #[test]
     fn native_engine_runs_without_programs() {
         let db = owned_all();
-        let native = QegFactory::new(Service::parking(), QegEngine::Native);
+        let native = QegFactory::new(Arc::new(NativeWalk));
         let pass = native.run(&plan(Q_PAPER), &db, 0.0, false).unwrap();
         assert!(pass.asks.is_empty());
         assert_eq!(pass.create_s, 0.0);
-        assert_eq!(native.created(), 0);
         assert_eq!(native.skeleton_hits() + native.skeleton_misses(), 0);
-    }
-
-    #[test]
-    fn native_walk_depth_is_bounded_like_xslt() {
-        // A self-nesting IDable tag lets `//` search arbitrarily deep: both
-        // engines must refuse past the same bound instead of overflowing.
-        let svc = Arc::new(Service::new(
-            "deep",
-            "deep.example",
-            crate::service::Schema::new("n", [("n".to_string(), vec!["n".to_string()])]),
-        ));
-        let chain = |levels: usize| {
-            let mut xml = String::new();
-            for i in 0..levels {
-                xml.push_str(&format!("<n id=\"{i}\">"));
-            }
-            xml.push_str(&"</n>".repeat(levels));
-            let master = parse(&xml).unwrap();
-            let mut db = SiteDatabase::new(svc.clone());
-            db.bootstrap_owned(&master, &IdPath::from_pairs([("n", "0")]), true).unwrap();
-            db
-        };
-        let e = sensorxpath::parse("/n[@id='0']//n[@id='none']").unwrap();
-        let p = plan_query(&e, &svc).unwrap();
-        // Searching element k (root = 0) applies templates at depth 3 + k,
-        // so a chain of 126 elements peaks at exactly 128 and 127 overrun.
-        let shallow = chain(126);
-        let deep = chain(127);
-        assert!(exec::execute(&p, &shallow, 0.0, false).unwrap().is_empty());
-        assert!(matches!(
-            exec::execute(&p, &deep, 0.0, false),
-            Err(CoreError::Query(m)) if m.contains("deeper than")
-        ));
-        // The XSLT interpreter spends several frames per level; give it
-        // room in debug builds.
-        std::thread::Builder::new()
-            .stack_size(64 << 20)
-            .spawn(move || {
-                let fast = QegFactory::new(svc, QegEngine::XsltFast);
-                assert!(fast.run(&p, &shallow, 0.0, false).unwrap().asks.is_empty());
-                assert!(matches!(
-                    fast.run(&p, &deep, 0.0, false),
-                    Err(CoreError::Xslt(sensorxslt::XsltError::RecursionLimit))
-                ));
-            })
-            .unwrap()
-            .join()
-            .unwrap();
-    }
-
-    #[test]
-    fn fast_skeleton_cache_hits_on_same_shape() {
-        let fast = QegFactory::new(Service::parking(), QegEngine::XsltFast);
-        let p1 = plan(Q_PAPER);
-        // Same shape, different ids/predicates.
-        let p2 = plan(
-            "/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']\
-             /city[@id='Pittsburgh']/neighborhood[@id='Oakland' or @id='Etna']\
-             /block[@id='2']/parkingSpace[available='no']",
-        );
-        fast.create(&p1).unwrap();
-        assert_eq!(fast.skeleton_hits(), 0);
-        assert_eq!(fast.skeleton_misses(), 1);
-        fast.create(&p2).unwrap();
-        assert_eq!(fast.skeleton_hits(), 1);
-        // Different shape misses.
-        let p3 = plan("/usRegion[@id='NE']//parkingSpace");
-        fast.create(&p3).unwrap();
-        assert_eq!(fast.skeleton_hits(), 1);
-        assert_eq!(fast.skeleton_misses(), 2);
-        assert_eq!(fast.skeleton_evictions(), 0);
-        // And the patched program still behaves correctly.
-        let db = owned_all();
-        let out = fast.create(&p2).unwrap().execute(&db, 0.0).unwrap();
-        assert!(out.is_complete());
-        let matched = matched_final_paths(&p2, &db, 0.0).unwrap();
-        assert!(matched.is_empty()); // Oakland block 2's only space is available
-    }
-
-    #[test]
-    fn skeleton_cache_lru_bounds_shapes() {
-        let fast = QegFactory::new(Service::parking(), QegEngine::XsltFast);
-        let tags = ["usRegion", "state", "county", "city", "neighborhood", "block"];
-        let ids = ["NE", "PA", "Allegheny", "Pittsburgh", "Oakland", "1"];
-        // Distinct shapes: which steps carry a rest predicate is part of the
-        // shape key, as is `ignore_complete` — 2^7 combinations available.
-        let shape_query = |i: usize| {
-            let mut q = String::new();
-            for j in 0..tags.len() {
-                q.push_str(&format!("/{}[@id='{}']", tags[j], ids[j]));
-                if i & (1 << j) != 0 {
-                    q.push_str("[price > 0]");
-                }
-            }
-            q.push_str("/parkingSpace");
-            q
-        };
-        let n = SKELETON_CACHE_CAP + 8;
-        for i in 0..n {
-            fast.create_with(&plan(&shape_query(i)), i >= 64).unwrap();
-        }
-        assert_eq!(fast.created(), n as u64);
-        assert_eq!(fast.skeleton_misses(), n as u64);
-        assert_eq!(fast.skeleton_hits(), 0);
-        assert_eq!(fast.skeleton_cache_len(), SKELETON_CACHE_CAP);
-        assert_eq!(fast.skeleton_evictions(), (n - SKELETON_CACHE_CAP) as u64);
-        // The newest shape is still resident: re-creating it hits...
-        fast.create_with(&plan(&shape_query(n - 1)), true).unwrap();
-        assert_eq!(fast.skeleton_hits(), 1);
-        // ...while the oldest was evicted: re-creating it misses again.
-        fast.create_with(&plan(&shape_query(0)), false).unwrap();
-        assert_eq!(fast.skeleton_misses(), n as u64 + 1);
     }
 
     #[test]
@@ -1759,22 +933,5 @@ mod tests {
         assert!(!text.contains("now()"));
         assert!(text.contains("price > 0"));
         assert!(text.contains("@id = '1'"));
-    }
-
-    #[test]
-    fn extract_asks_reconstructs_paths() {
-        let out = parse(
-            r#"<result><usRegion id="NE"><state id="PA">
-                 <iris-ask tag="county" id="Allegheny" kind="query" step="2"/>
-               </state></usRegion></result>"#,
-        )
-        .unwrap();
-        let asks = extract_asks(&out).unwrap();
-        assert_eq!(asks.len(), 1);
-        assert_eq!(
-            asks[0].path,
-            IdPath::from_pairs([("usRegion", "NE"), ("state", "PA"), ("county", "Allegheny")])
-        );
-        assert_eq!(asks[0].step, 2);
     }
 }

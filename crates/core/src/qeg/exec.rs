@@ -1,11 +1,11 @@
 //! The native QEG executor: one plan-driven walk over the site database.
 //!
-//! It visits exactly the nodes the status-switching stylesheet of
-//! [`super::QegFactory`]'s XSLT engines visits, takes the same branch of the
-//! four-way `status` switch at each, and records an ask wherever the
-//! stylesheet would emit an `iris-ask` placeholder — but it builds no
-//! stylesheet, renders no predicate text, writes no output document and
-//! re-scans nothing. Templates map to functions:
+//! It visits exactly the nodes the paper's status-switching stylesheet
+//! visits (generated by the `irisnet-xslt-oracle` crate), takes the same
+//! branch of the four-way `status` switch at each, and records an ask
+//! wherever the stylesheet would emit an `iris-ask` placeholder — but it
+//! builds no stylesheet, renders no predicate text, writes no output
+//! document and re-scans nothing. Templates map to functions:
 //!
 //! * a `Tag` / `Wildcard` step is `Walk::step` (subtree gate, then
 //!   `owned` / `complete` / `id-complete` / otherwise);
@@ -31,11 +31,10 @@ use crate::idable::{IdPath, STATUS_ATTR};
 /// Nesting bound of the walk, counted like the XSLT interpreter's template
 /// recursion limit (one level per `apply-templates`, starting at the
 /// document node), so both engines fail on the same inputs.
-const MAX_WALK_DEPTH: usize = 128;
+pub(super) const MAX_WALK_DEPTH: usize = 128;
 
 /// Runs one QEG pass natively: the asks the plan's stylesheet would emit
-/// over `db` at time `now`, sorted and deduplicated like
-/// [`super::extract_asks`].
+/// over `db` at time `now`, sorted by path and deduplicated.
 pub(crate) fn execute(
     plan: &QueryPlan,
     db: &SiteDatabase,
@@ -308,16 +307,14 @@ fn nest(depth: usize) -> CoreResult<usize> {
     if depth < MAX_WALK_DEPTH {
         Ok(depth + 1)
     } else {
-        Err(CoreError::Query(format!(
-            "QEG walk nests deeper than {MAX_WALK_DEPTH} levels"
-        )))
+        Err(super::too_deep())
     }
 }
 
 /// Turns the walk's raw asks into id-path asks: the asked node's tag and id
 /// (an empty id when it has none) under its ancestors' `(tag, id)` chain,
-/// then sorts and deduplicates exactly as [`super::extract_asks`] does, so
-/// equal-path asks keep their emission order.
+/// then sorts and deduplicates exactly as the XSLT oracle's ask extraction
+/// does, so equal-path asks keep their emission order.
 fn ask_paths(doc: &Document, raw: Vec<(NodeId, AskKind, usize)>) -> CoreResult<Vec<Ask>> {
     let mut asks = Vec::with_capacity(raw.len());
     let mut rev: Vec<(String, String)> = Vec::new();

@@ -6,10 +6,10 @@
 use std::sync::Arc;
 
 use irisdns::{AuthoritativeDns, SiteAddr};
-use irisnet_core::qeg::{generalized_subquery, matched_final_paths, plan_query, AskKind, QegFactory, StepKind};
+use irisnet_core::qeg::{generalized_subquery, matched_final_paths, plan_query, AskKind, StepKind};
 use irisnet_core::{
     Endpoint, IdPath, Message, OaConfig, OrganizingAgent, Outbound, Service, SiteDatabase,
-    QegEngine, Status,
+    Status,
 };
 
 fn master() -> sensorxml::Document {
@@ -273,36 +273,4 @@ fn matched_paths_respect_distribution_prefix_only() {
     let matched = matched_final_paths(&plan, &db, 0.0).unwrap();
     assert_eq!(matched.len(), 2); // both spaces of P/n1/b1
     assert!(matched.iter().all(|p| p.last().unwrap().0 == "parkingSpace"));
-}
-
-#[test]
-fn qeg_factory_shapes_do_not_collide_across_queries() {
-    let svc = service();
-    let f = QegFactory::new(svc.clone(), QegEngine::XsltFast);
-    let queries = [
-        "/usRegion[@id='NE']/state[@id='PA']/county[@id='A']/city[@id='P']",
-        "/usRegion[@id='NE']/state[@id='PA']/county[@id='A']/city[@id='P']/neighborhood[@id='n1']",
-        "/usRegion[@id='NE']//parkingSpace",
-        "/usRegion[@id='NE']/*/county[@id='A']",
-        "/usRegion[@id='NE']/state[@id='PA']/county[@id='A']/city[@id='P']/neighborhood[zipcode='1']",
-    ];
-    let m = master();
-    let mut db = SiteDatabase::new(svc.clone());
-    db.bootstrap_owned(&m, &root(), true).unwrap();
-    for q in queries {
-        let e = sensorxpath::parse(q).unwrap();
-        let plan = plan_query(&e, &svc).unwrap();
-        let prog = f.create(&plan).unwrap();
-        // All programs run cleanly on the full fragment (no asks).
-        let out = prog.execute(&db, 0.0).unwrap();
-        assert!(out.is_complete(), "asks for {q}: {:?}", out.asks);
-    }
-    // Re-creating the same queries hits the skeleton cache each time.
-    let before = f.skeleton_hits();
-    for q in queries {
-        let e = sensorxpath::parse(q).unwrap();
-        let plan = plan_query(&e, &svc).unwrap();
-        f.create(&plan).unwrap();
-    }
-    assert_eq!(f.skeleton_hits(), before + queries.len() as u64);
 }

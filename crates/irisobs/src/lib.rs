@@ -8,8 +8,7 @@
 //!   simulator (virtual time) and the sharded runtime (wall time), so the DES
 //!   remains the oracle for trace *structure*.
 //! - [`metrics`]: per-site named series — lock-free counters and
-//!   log2-bucket histograms — that absorb component-local atomics via
-//!   [`Registry::adopt_counter`] (shared storage, no double counting).
+//!   log2-bucket histograms.
 //! - [`explain`]: trace assembly, structural invariants (single root per
 //!   query, parent precedes child, no orphans), the `query explain`
 //!   report, and the timing-free structure digest used for DES-vs-live

@@ -261,18 +261,6 @@ impl Registry {
         )
     }
 
-    /// Register *existing* counter storage under a series name. This is how
-    /// pre-existing one-off atomics (e.g. the QEG factory's hit/miss/
-    /// eviction counters) join the plane without double-counting: the same
-    /// `Arc<Counter>` is both the component's working counter and the
-    /// registry's series.
-    pub fn adopt_counter(&self, site: u32, name: &str, counter: Arc<Counter>) {
-        self.counters
-            .write()
-            .unwrap()
-            .insert((site, name.to_string()), counter);
-    }
-
     /// Get-or-create the histogram `(site, name)`.
     pub fn histogram(&self, site: u32, name: &str) -> Arc<Histogram> {
         if let Some(h) = self.histograms.read().unwrap().get(&(site, name.to_string())) {
@@ -456,19 +444,6 @@ mod tests {
         assert_eq!(b.get(), 3);
         assert_eq!(r.snapshot().counter(1, "asks"), 3);
         assert_eq!(r.snapshot().counter(2, "asks"), 0);
-    }
-
-    #[test]
-    fn adopted_counters_are_the_same_storage() {
-        let r = Registry::new();
-        let working = Arc::new(Counter::new());
-        working.add(7);
-        r.adopt_counter(3, "qeg.skeleton_hits", Arc::clone(&working));
-        assert_eq!(r.snapshot().counter(3, "qeg.skeleton_hits"), 7);
-        working.inc();
-        assert_eq!(r.snapshot().counter(3, "qeg.skeleton_hits"), 8);
-        // get-or-create after adoption resolves to the adopted storage.
-        assert_eq!(r.counter(3, "qeg.skeleton_hits").get(), 8);
     }
 
     #[test]

@@ -33,11 +33,11 @@
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use irisdns::{AuthoritativeDns, CachingResolver, SiteAddr};
 use irisnet_core::{
     perform_read, CoreError, Endpoint, IdPath, Message, OrganizingAgent, Outbound,
@@ -347,7 +347,7 @@ impl ShardedCluster {
         let mut txs = Vec::with_capacity(n);
         let mut rxs = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded::<ShardEnvelope>();
+            let (tx, rx) = mpsc::channel::<ShardEnvelope>();
             txs.push(tx);
             rxs.push(rx);
         }
@@ -525,7 +525,7 @@ impl ShardedCluster {
         let router = self.router.as_ref().expect("subscribe before start");
         let endpoint = Endpoint(self.next_endpoint.fetch_add(1, Ordering::Relaxed));
         let qid = self.next_qid.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         self.replies.lock().insert(endpoint, tx);
         router.deliver(None, site, Message::Subscribe { qid, text: text.to_string(), endpoint });
         (qid, rx)
@@ -543,7 +543,7 @@ impl ShardedCluster {
         // envelope that references it.
         let shard = router.shard_of.lock().remove(&addr)?;
         self.mark_reachable(addr, false);
-        let (rtx, rrx) = unbounded();
+        let (rtx, rrx) = mpsc::channel();
         if router.shard_txs[shard]
             .send(ShardEnvelope::Detach { site: addr, reply: rtx })
             .is_err()
@@ -711,7 +711,7 @@ fn scrape_routed(
 ) -> Option<String> {
     let endpoint = Endpoint(next_endpoint.fetch_add(1, Ordering::Relaxed));
     let qid = next_qid.fetch_add(1, Ordering::Relaxed);
-    let (rtx, rrx) = unbounded();
+    let (rtx, rrx) = mpsc::channel();
     replies.lock().insert(endpoint, rtx);
     let sent = router.deliver(
         None,
@@ -740,7 +740,7 @@ fn pose_routed(
 ) -> Option<LiveReply> {
     let endpoint = Endpoint(next_endpoint.fetch_add(1, Ordering::Relaxed));
     let qid = next_qid.fetch_add(1, Ordering::Relaxed);
-    let (rtx, rrx) = unbounded();
+    let (rtx, rrx) = mpsc::channel();
     replies.lock().insert(endpoint, rtx);
     let posed = Instant::now();
     let sent = router.deliver(

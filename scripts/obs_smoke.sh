@@ -36,7 +36,7 @@ jq -e -s '
   and all(.[] | select(.type == "counter"); has("name") and has("value"))
   and all(.[] | select(.type == "hist"); has("name") and has("count") and has("buckets"))
   and any(.[]; .type == "span" and .cache == "partial-match")
-  and any(.[]; .type == "counter" and .name == "qeg.skeleton_hits")
+  and any(.[]; .type == "counter" and .name == "oa.user_queries")
 ' "$TRACE_JSONL" > /dev/null \
     || { echo "obs_smoke: JSONL validation failed for $TRACE_JSONL" >&2; exit 1; }
 echo "obs_smoke: JSONL valid ($(wc -l < "$TRACE_JSONL") lines)"

@@ -7,23 +7,27 @@
 //!    `//`, `*`, or-ed ids, the nested-predicate subtree gate, number-valued
 //!    (positional) predicates, unclean and freshness predicates, suffix
 //!    steps) yields the
-//!    same asks (path, kind, step) or the same error under
-//!    `QegEngine::Native`, `XsltFast` and `XsltNaive`, with
-//!    `ignore_complete` both ways and `now` on both sides of every
-//!    freshness tolerance.
+//!    same asks (path, kind, step) or the same error under the native walk
+//!    (`NativeWalk`) and the XSLT oracle's fast and naive creation
+//!    (`irisnet_xslt_oracle::XsltQeg`), with `ignore_complete` both ways
+//!    and `now` on both sides of every freshness tolerance.
 //! 2. End to end on the DES: the `distributed_correctness` scenario gives
 //!    byte-identical canonical answers and trace `structure_digest`s under
-//!    each engine.
+//!    each engine, plugged in through `OaConfig::engine`.
 //!
 //! Replayable: run with a fixed `PROPTEST_RNG_SEED`.
 
 use proptest::prelude::*;
 
 use irisnet_bench::{build_cluster, Arch, DbParams, ParkingDb, QueryType, Workload};
-use irisnet_core::qeg::{plan_query, Ask};
+use std::sync::Arc;
+
+use irisnet_core::qeg::{plan_query, Ask, QueryPlan};
 use irisnet_core::{
-    CacheMode, CoreError, Endpoint, IdPath, Message, OaConfig, QegEngine, QegFactory, SiteDatabase,
+    CacheMode, CoreResult, Endpoint, IdPath, Message, NativeWalk, OaConfig, PassEngine,
+    SiteDatabase,
 };
+use irisnet_xslt_oracle::{Creation, XsltQeg};
 use irisobs::{check_well_formed, structure_digest, MemRecorder};
 use simnet::CostModel;
 
@@ -138,27 +142,15 @@ fn queries(db: &ParkingDb, seed: u64) -> Vec<String> {
     qs
 }
 
-/// An engine's outcome with error wrappers normalized: the XSLT engines
-/// report predicate failures inside `Xslt(..)` and depth overruns as a
-/// template-recursion error, the native walk reports them directly.
+/// An engine's asks for one pass, or its error.
 fn outcome(
-    f: &QegFactory,
-    plan: &irisnet_core::qeg::QueryPlan,
+    f: &dyn PassEngine,
+    plan: &QueryPlan,
     db: &SiteDatabase,
     now: f64,
     ignore_complete: bool,
-) -> Result<Vec<Ask>, String> {
-    f.run(plan, db, now, ignore_complete)
-        .map(|p| p.asks)
-        .map_err(|e| match e {
-            CoreError::Xslt(sensorxslt::XsltError::XPath(x)) | CoreError::XPath(x) => {
-                format!("xpath: {x}")
-            }
-            CoreError::Xslt(sensorxslt::XsltError::RecursionLimit) => "depth".into(),
-            CoreError::Query(m) if m.contains("deeper than") => "depth".into(),
-            CoreError::Protocol(m) if m.contains("id") => "ask without id".into(),
-            other => other.to_string(),
-        })
+) -> CoreResult<Vec<Ask>> {
+    f.run(plan, db, now, ignore_complete).map(|p| p.asks)
 }
 
 proptest! {
@@ -198,9 +190,9 @@ proptest! {
             }
         }
 
-        let native = QegFactory::new(db.service.clone(), QegEngine::Native);
-        let fast = QegFactory::new(db.service.clone(), QegEngine::XsltFast);
-        let naive = QegFactory::new(db.service.clone(), QegEngine::XsltNaive);
+        let native = NativeWalk;
+        let fast = XsltQeg::new(Creation::Fast);
+        let naive = XsltQeg::new(Creation::Naive);
         // Each tolerance straddled: just inside and just past it, measured
         // from the newest and the oldest timestamp, plus both extremes.
         let mut nows = vec![0.0, 1e9];
@@ -226,8 +218,6 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(native.created(), 0);
-        prop_assert_eq!(native.skeleton_hits() + native.skeleton_misses(), 0);
     }
 }
 
@@ -244,8 +234,8 @@ fn owner_and_leaf_site_corners_agree() {
     let mut leaf = SiteDatabase::new(db.service.clone());
     leaf.bootstrap_owned(&db.master, &db.space_path(1, 1, 2, 1), true)
         .unwrap();
-    let native = QegFactory::new(db.service.clone(), QegEngine::Native);
-    let fast = QegFactory::new(db.service.clone(), QegEngine::XsltFast);
+    let native = NativeWalk;
+    let fast = XsltQeg::new(Creation::Fast);
     for seed in 0..6 {
         for q in queries(&db, seed) {
             let plan = plan_query(&sensorxpath::parse(&q).unwrap(), &db.service).unwrap();
@@ -295,8 +285,8 @@ fn fixed_mix_reaches_every_branch() {
     site.merge_fragment(&owner.export_subtrees(std::slice::from_ref(&block)).unwrap())
         .unwrap();
 
-    let native = QegFactory::new(db.service.clone(), QegEngine::Native);
-    let fast = QegFactory::new(db.service.clone(), QegEngine::XsltFast);
+    let native = NativeWalk;
+    let fast = XsltQeg::new(Creation::Fast);
     let mut kinds = std::collections::BTreeSet::new();
     let mut errors = 0;
     for seed in 0..6 {
@@ -349,7 +339,7 @@ fn smallish() -> DbParams {
 /// Runs the `distributed_correctness` hierarchical scenario (caching on,
 /// one query at a time to quiescence) and returns each query's canonical
 /// answer and trace digest.
-fn des_run(engine: QegEngine) -> Vec<(String, String)> {
+fn des_run(engine: Arc<dyn PassEngine>) -> Vec<(String, String)> {
     let db = ParkingDb::generate(smallish(), 1);
     let cfg = OaConfig {
         engine,
@@ -391,17 +381,19 @@ fn des_run(engine: QegEngine) -> Vec<(String, String)> {
 
 #[test]
 fn des_answers_and_traces_identical_under_every_engine() {
-    let native = des_run(QegEngine::Native);
+    let native = des_run(Arc::new(NativeWalk));
     // The scenario must actually gather and cache, or it proves little.
     assert!(
         native.iter().any(|(_, d)| d.contains("sub-query")),
         "no gathering happened"
     );
-    for engine in [QegEngine::XsltFast, QegEngine::XsltNaive] {
-        let other = des_run(engine);
+    for creation in [Creation::Fast, Creation::Naive] {
+        let engine = Arc::new(XsltQeg::new(creation));
+        let other = des_run(engine.clone());
+        assert!(engine.created() > 0, "{creation:?} never ran");
         for (i, (n, o)) in native.iter().zip(&other).enumerate() {
-            assert_eq!(n.0, o.0, "query {i}: answers differ under {engine:?}");
-            assert_eq!(n.1, o.1, "query {i}: trace shapes differ under {engine:?}");
+            assert_eq!(n.0, o.0, "query {i}: answers differ under {creation:?}");
+            assert_eq!(n.1, o.1, "query {i}: trace shapes differ under {creation:?}");
         }
     }
 }
