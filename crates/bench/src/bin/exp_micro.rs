@@ -14,7 +14,10 @@
 //! Reported: per-query breakdown across creating the QEG program,
 //! executing it, communication CPU (wire (de)serialization), and rest —
 //! on the **sharded runtime** at one shard per site (real threads, real
-//! engine, wall-clock time).
+//! engine, wall-clock time). One run of a cell swings by tens of percent
+//! on a shared host, so every cell is [`REPS`] runs, each on a fresh
+//! cluster with a fresh engine: each column is the median over the runs,
+//! and the spread (min–max) of their totals is printed beside it.
 //!
 //! Expected shape (paper): routing to the owner cuts total time by >50%;
 //! naive creation dominates the total (fast creation halves it); the 8×
@@ -90,6 +93,9 @@ fn build(db: &ParkingDb, engine: Arc<dyn PassEngine>) -> Built {
     Built { cluster, county_site: SiteAddr(1), city_site, nbhd_site }
 }
 
+/// Fresh-cluster runs per cell.
+const REPS: usize = 5;
+
 struct Breakdown {
     total_ms: f64,
     create_ms: f64,
@@ -141,6 +147,16 @@ fn measure(db: &ParkingDb, engine: Arc<dyn PassEngine>, level: usize, n: u64) ->
     }
 }
 
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let m = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[m]
+    } else {
+        (xs[m - 1] + xs[m]) / 2.0
+    }
+}
+
 fn main() {
     println!("== Fig. 11: micro-benchmarks — query time breakdown (ms/query) ==");
     println!("(type 1 query injected at (i) county, (ii) city, (iii) neighborhood site)\n");
@@ -153,32 +169,45 @@ fn main() {
         ("Large DB (8x), fast XSLT creation", DbParams::large(), Some(Creation::Fast)),
     ];
     println!(
-        "{:<36} {:>6} {:>9} {:>9} {:>9} {:>7} {:>8}",
-        "Setting", "level", "create", "exec", "comm", "rest", "total"
+        "{:<36} {:>6} {:>9} {:>9} {:>9} {:>7} {:>8} {:>13}",
+        "Setting", "level", "create", "exec", "comm", "rest", "total", "total spread"
     );
-    println!("{}", "-".repeat(90));
+    println!("{}", "-".repeat(104));
     for (label, params, creation) in settings {
         let db = ParkingDb::generate(params, 1);
         for (li, lname) in ["(i)", "(ii)", "(iii)"].iter().enumerate() {
-            // A fresh engine per cell, so every cell starts with an empty
-            // skeleton cache; the cell's sites share it.
-            let engine: Arc<dyn PassEngine> = match creation {
-                Some(c) => Arc::new(XsltQeg::new(c)),
-                None => Arc::new(NativeWalk),
-            };
-            let b = measure(&db, engine, li, n);
+            // A fresh engine per run, so every run starts with an empty
+            // skeleton cache; the run's sites share it.
+            let runs: Vec<Breakdown> = (0..REPS)
+                .map(|_| {
+                    let engine: Arc<dyn PassEngine> = match creation {
+                        Some(c) => Arc::new(XsltQeg::new(c)),
+                        None => Arc::new(NativeWalk),
+                    };
+                    measure(&db, engine, li, n)
+                })
+                .collect();
+            let col = |f: fn(&Breakdown) -> f64| median(runs.iter().map(f).collect());
+            let totals = runs.iter().map(|b| b.total_ms);
+            let (lo, hi) = totals.fold((f64::MAX, 0.0f64), |(lo, hi), t| (lo.min(t), hi.max(t)));
             println!(
-                "{:<36} {:>6} {:>8.2}m {:>8.2}m {:>8.2}m {:>6.2}m {:>7.2}m",
+                "{:<36} {:>6} {:>8.2}m {:>8.2}m {:>8.2}m {:>6.2}m {:>7.2}m {:>6.2}–{:.2}m",
                 if li == 0 { label } else { "" },
                 lname,
-                b.create_ms,
-                b.exec_ms,
-                b.comm_ms,
-                b.rest_ms,
-                b.total_ms
+                col(|b| b.create_ms),
+                col(|b| b.exec_ms),
+                col(|b| b.comm_ms),
+                col(|b| b.rest_ms),
+                col(|b| b.total_ms),
+                lo,
+                hi
             );
         }
     }
-    println!("\n(sharded runtime, one shard per site, wall-clock; {n} queries per cell; exec includes");
-    println!(" answer extraction; comm is wire XML (de)serialization CPU)");
+    println!(
+        "\n(sharded runtime, one shard per site, wall-clock; each column the median of {REPS} \
+         fresh-cluster runs"
+    );
+    println!(" of {n} queries, so columns need not sum; spread = min–max of the runs' totals;");
+    println!(" exec includes answer extraction; comm is wire XML (de)serialization CPU)");
 }

@@ -43,7 +43,7 @@ use crate::fragment::{SiteDatabase, Status, UnitCost};
 use crate::idable::IdPath;
 use crate::obs::ObsPlane;
 use crate::qeg::{
-    extract_user_answer, generalized_subquery, literal_subquery, matched_final_paths, plan_query,
+    extract_user_answer, generalized_subquery, literal_subquery, matched_final_nodes, plan_query,
     Ask, AskKind, NativeWalk, PassEngine, QegFactory, QueryPlan,
 };
 use crate::routing::lca_id_path;
@@ -261,31 +261,21 @@ pub fn perform_read(task: &ReadTask, qeg: &QegFactory, db: &SiteDatabase) -> Rea
         }
         ReadTaskKind::FinalizeSite { plan, addr, qid, partial } => {
             let t = Instant::now();
-            let export = matched_final_paths(plan, db, task.posed_at).and_then(|paths| {
-                if paths.is_empty() {
+            let export = matched_final_nodes(plan, db, task.posed_at).and_then(|nodes| {
+                if nodes.is_empty() {
                     // Negative evidence: ship the local information of the
-                    // deepest resolvable id-pinned prefix, so the requester
+                    // deepest stored id-pinned prefix, so the requester
                     // learns which children actually exist (deleted nodes
                     // disappear from caches).
-                    let mut p = lca_id_path(&plan.expr);
-                    loop {
-                        if p.is_empty() {
-                            break Ok(None);
-                        }
-                        if db.contains(&p) {
-                            break db.plan_local_info(&p).map(Some);
-                        }
-                        match p.parent() {
-                            Some(pp) => p = pp,
-                            None => break Ok(None),
-                        }
-                    }
+                    deepest_pinned_node(&plan.expr, db.doc())
+                        .map(|n| db.plan_local_info_node(n))
+                        .transpose()
                 } else {
                     // Ship whole cached units where the match covers them
                     // (subsumption, §3.3): the receiver then caches e.g. a
                     // complete block instead of loose parking spaces.
-                    let coalesced = db.coalesce_covering_paths(&paths);
-                    db.plan_export(&coalesced).map(Some)
+                    let coalesced = db.coalesce_covering_nodes(&nodes);
+                    db.plan_export_nodes(&coalesced).map(Some)
                 }
             });
             done.time_extract = t.elapsed().as_secs_f64();
@@ -302,6 +292,27 @@ pub fn perform_read(task: &ReadTask, qeg: &QegFactory, db: &SiteDatabase) -> Rea
         }
     };
     done
+}
+
+/// The stored node of the longest prefix of the query's id-pinned steps
+/// ([`lca_id_path`]) that resolves here, walked top down.
+fn deepest_pinned_node(expr: &Expr, doc: &sensorxml::Document) -> Option<sensorxml::NodeId> {
+    let Expr::Path(path) = expr else { return None };
+    if !path.absolute {
+        return None;
+    }
+    let mut found = None;
+    for (tag, id) in path.steps.iter().map_while(sensorxpath::analysis::id_pinned_step) {
+        let next = match found {
+            None => doc.root().filter(|&r| doc.name(r) == tag && doc.attr(r, "id") == Some(id)),
+            Some(parent) => doc.child_by_name_id(parent, tag, id),
+        };
+        match next {
+            Some(n) => found = Some(n),
+            None => break,
+        }
+    }
+    found
 }
 
 /// Appends one stub chain per exhausted covering path: the id-path's

@@ -23,7 +23,7 @@ use sensorxml::{Document, NodeId};
 pub use export::FragmentExport;
 
 use crate::error::{CoreError, CoreResult};
-use crate::idable::{copy_local_id_information, IdPath, STATUS_ATTR};
+use crate::idable::{cmp_by_id_path, copy_local_id_information, IdPath, STATUS_ATTR};
 use crate::service::Service;
 use crate::storage::{RecoveredState, RecoveryStats, SiteWal, WalRecord};
 
@@ -662,75 +662,61 @@ impl SiteDatabase {
     // Exporting fragments (subquery answers / migration)
     // ------------------------------------------------------------------
 
-    /// Coalesces a set of matched node paths upward: whenever *all* stored
-    /// IDable children of a parent whose local information is present
-    /// (status ≥ `complete`) are in the set, the children are replaced by
-    /// the parent. Exporting the coalesced set ships whole cached units
-    /// (the paper's subsumption observation, §3.3) — e.g. a subquery
-    /// matching every parking space of a block ships the block subtree,
-    /// which the receiver caches as a `complete` block.
-    pub fn coalesce_covering_paths(&self, paths: &[IdPath]) -> Vec<IdPath> {
-        use std::cmp::Reverse;
-        use std::collections::{BTreeMap, HashMap};
-        // Each path is resolved once; from there the set is over `NodeId`s.
-        // A member is remembered as a prefix of one of the input paths
-        // (`paths[i].segments()[..len]`), so only survivors are cloned.
-        let mut set: HashMap<NodeId, (usize, usize)> = HashMap::with_capacity(paths.len());
-        let mut out: Vec<IdPath> = Vec::new();
-        for (i, p) in paths.iter().enumerate() {
-            match p.resolve(&self.doc) {
-                Some(n) => {
-                    set.insert(n, (i, p.len()));
-                }
-                // Not stored here: nothing to coalesce it with.
-                None => out.push(p.clone()),
-            }
-        }
+    /// Coalesces a set of matched stored nodes upward: whenever *all*
+    /// stored IDable children of a parent whose local information is
+    /// present (status ≥ `complete`) are in the set, the children are
+    /// replaced by the parent, and a member's children leave the set.
+    /// Exporting the coalesced set ships whole cached units (the paper's
+    /// subsumption observation, §3.3) — e.g. a subquery matching every
+    /// parking space of a block ships the block subtree, which the
+    /// receiver caches as a `complete` block.
+    ///
+    /// `nodes` must be distinct and in arena order (a duplicate counts as
+    /// another child), and each the node its own id path resolves to, as
+    /// a sub-answer's matches are (`qeg::matched_final_nodes`). The result
+    /// is in [`IdPath`] order, the order targets are exported in.
+    pub fn coalesce_covering_nodes(&self, nodes: &[NodeId]) -> Vec<NodeId> {
+        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "distinct, in arena order");
+        let doc = &self.doc;
+        let mut set = nodes.to_vec();
         loop {
-            // Grouped by parent, deepest parents first: with a chain of
-            // members (a node, its child, its grandchild) the grandchild
-            // is dropped under the child before the child is dropped
-            // under the node, whatever the arena order.
-            let mut by_parent: BTreeMap<(Reverse<usize>, NodeId), Vec<NodeId>> = BTreeMap::new();
-            for (&n, &(_, len)) in &set {
-                if let Some(parent) = self.doc.parent(n) {
-                    by_parent.entry((Reverse(len), parent)).or_default().push(n);
-                }
-            }
+            // A round decides every parent from the set as it stood when
+            // the round began: no decision depends on another made in the
+            // same round. Members grouped by parent:
+            let mut kids: Vec<(NodeId, NodeId)> =
+                set.iter().filter_map(|&n| doc.parent(n).map(|p| (p, n))).collect();
+            kids.sort_unstable();
+            let mut next: Vec<NodeId> =
+                set.iter().copied().filter(|&n| doc.parent(n).is_none()).collect();
             let mut changed = false;
-            for ((_, parent), kids) in by_parent {
-                let covered = set.contains_key(&parent) || {
+            for group in kids.chunk_by(|a, b| a.0 == b.0) {
+                let parent = group[0].0;
+                let covered = set.binary_search(&parent).is_ok() || {
                     // All stored IDable children of a parent whose local
                     // information is present: the parent stands for them.
-                    let has_info =
-                        self.status_of(parent).is_some_and(Status::has_local_info);
-                    has_info
-                        && kids.len()
-                            == self
-                                .doc
+                    self.status_of(parent).is_some_and(Status::has_local_info)
+                        && group.len()
+                            == doc
                                 .child_elements(parent)
-                                .filter(|&c| self.service.schema.is_idable(self.doc.name(c)))
+                                .filter(|&c| self.service.schema.is_idable(doc.name(c)))
                                 .count()
                 };
                 if covered {
-                    let (i, len) = set[&kids[0]];
-                    for k in &kids {
-                        set.remove(k);
-                    }
-                    set.entry(parent).or_insert((i, len - 1));
+                    next.push(parent);
                     changed = true;
+                } else {
+                    next.extend(group.iter().map(|&(_, k)| k));
                 }
             }
+            next.sort_unstable();
+            next.dedup();
+            set = next;
             if !changed {
                 break;
             }
         }
-        out.extend(set.into_values().map(|(i, len)| {
-            IdPath::from_pairs(paths[i].segments()[..len].iter().cloned())
-        }));
-        out.sort();
-        out.dedup();
-        out
+        set.sort_by(|&a, &b| cmp_by_id_path(doc, a, b));
+        set
     }
 
     // ------------------------------------------------------------------

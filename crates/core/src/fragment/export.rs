@@ -10,13 +10,17 @@
 //! copying nothing — and [`FragmentExport::xml`] then writes the text in a
 //! single walk.
 //!
+//! Targets are stored nodes ([`SiteDatabase::plan_export_nodes`]): a
+//! subquery answer plans straight from the coalesced matches of
+//! `qeg::matched_final_nodes`, and [`SiteDatabase::plan_export`]
+//! resolves id paths (migration's targets) and plans the same way.
+//!
 //! The element order of the text is part of the format (answers and
 //! digests are compared byte for byte across runtimes), and it follows
 //! from how targets are added: an ancestor takes the place of the sibling
 //! stub that stood for it, a target is moved to the end of its parent.
-//! IDable siblings are assumed unique by `(tag, id)` (Definition 3.1).
-
-use std::collections::HashMap;
+//! IDable siblings are assumed unique by `(tag, id)` (Definition 3.1);
+//! where a document still holds duplicates, each keeps its own stub.
 
 use sensorxml::serialize::{own_value, push_attr, serialize_mapped};
 use sensorxml::{Attr, Document, NodeId, NodeKind, XmlError};
@@ -47,23 +51,20 @@ enum Kind {
 struct PlanNode {
     db: NodeId,
     kind: Kind,
-    parent: Option<u32>,
     /// Replaced by a later node for the same database node; not written.
     dead: bool,
     children: Vec<u32>,
 }
 
 /// The layout of one wire fragment over a site database; see the module
-/// docs. Build with [`SiteDatabase::plan_export`] or
-/// [`SiteDatabase::plan_local_info`], then write with
-/// [`FragmentExport::xml`].
+/// docs. Build with [`SiteDatabase::plan_export_nodes`],
+/// [`SiteDatabase::plan_export`] or [`SiteDatabase::plan_local_info`],
+/// then write with [`FragmentExport::xml`].
 #[derive(Debug)]
 pub struct FragmentExport<'a> {
     db: &'a SiteDatabase,
     nodes: Vec<PlanNode>,
     root: Option<u32>,
-    /// Database node → the plan node last attached for it.
-    placed: HashMap<NodeId, u32>,
 }
 
 fn clamped(a: &Attr) -> &str {
@@ -76,7 +77,7 @@ fn clamped(a: &Attr) -> &str {
 
 impl<'a> FragmentExport<'a> {
     fn new(db: &'a SiteDatabase) -> Self {
-        FragmentExport { db, nodes: Vec::new(), root: None, placed: HashMap::new() }
+        FragmentExport { db, nodes: Vec::new(), root: None }
     }
 
     fn doc(&self) -> &'a Document {
@@ -87,38 +88,23 @@ impl<'a> FragmentExport<'a> {
         self.doc().is_element(node) && self.db.service.schema.is_idable(self.doc().name(node))
     }
 
-    /// The database nodes along `path`, root first (never empty).
-    fn resolve_chain(&self, path: &IdPath) -> CoreResult<Vec<NodeId>> {
-        let doc = self.doc();
-        let no_node = || CoreError::Protocol(format!("export: no node at {path}"));
-        let mut chain = Vec::with_capacity(path.len());
-        for (tag, id) in path.segments() {
-            let next = match chain.last() {
-                None => doc
-                    .root()
-                    .filter(|&r| doc.name(r) == tag && doc.attr(r, "id") == Some(id)),
-                Some(&parent) => doc.child_by_name_id(parent, tag, id),
-            };
-            chain.push(next.ok_or_else(no_node)?);
-        }
-        if chain.is_empty() {
-            return Err(no_node());
-        }
-        Ok(chain)
+    /// The database nodes above `node`, root first.
+    fn ancestors(&self, node: NodeId) -> Vec<NodeId> {
+        let mut chain: Vec<NodeId> = self.doc().ancestors(node).collect();
+        chain.reverse();
+        chain
     }
 
     /// A detached plan node.
     fn push(&mut self, db: NodeId, kind: Kind) -> u32 {
-        self.nodes.push(PlanNode { db, kind, parent: None, dead: false, children: Vec::new() });
+        self.nodes.push(PlanNode { db, kind, dead: false, children: Vec::new() });
         (self.nodes.len() - 1) as u32
     }
 
     /// Appends a fresh plan node for `db` under `parent`.
     fn push_child(&mut self, parent: u32, db: NodeId, kind: Kind) {
         let c = self.push(db, kind);
-        self.nodes[c as usize].parent = Some(parent);
         self.nodes[parent as usize].children.push(c);
-        self.placed.insert(db, c);
     }
 
     /// Appends stubs for the IDable children of `idx`'s database node.
@@ -150,13 +136,16 @@ impl<'a> FragmentExport<'a> {
     }
 
     /// The plan node standing for `db` under `cursor` (the root when
-    /// `cursor` is `None`).
+    /// `cursor` is `None`): its last child for `db` that was not replaced.
+    /// A plan node's children mirror one stored node's children (plus the
+    /// nodes they replaced), so the scan stays short.
     fn child(&mut self, cursor: Option<u32>, db: NodeId) -> Option<u32> {
         let Some(p) = cursor else { return self.root };
         self.expand(p);
-        self.placed.get(&db).copied().filter(|&c| {
-            let n = &self.nodes[c as usize];
-            n.parent == cursor && !n.dead
+        let nodes = &self.nodes;
+        nodes[p as usize].children.iter().rev().copied().find(|&c| {
+            let n = &nodes[c as usize];
+            n.db == db && !n.dead
         })
     }
 
@@ -174,19 +163,15 @@ impl<'a> FragmentExport<'a> {
                 if let Some(old) = self.child(cursor, db) {
                     self.nodes[old as usize].dead = true;
                 }
-                self.nodes[idx as usize].parent = cursor;
                 self.nodes[p as usize].children.push(idx);
             }
         }
-        self.placed.insert(db, idx);
         Ok(())
     }
 
-    fn add_target(&mut self, path: &IdPath) -> CoreResult<()> {
-        let chain = self.resolve_chain(path)?;
-        let (&target, ancestors) = chain.split_last().expect("resolved chain is non-empty");
+    fn add_target(&mut self, target: NodeId) -> CoreResult<()> {
         let mut cursor = None;
-        for &db in ancestors {
+        for db in self.ancestors(target) {
             let anc = match self.child(cursor, db) {
                 Some(e) => {
                     // A sibling stub is about to get children: upgrade it
@@ -281,9 +266,24 @@ impl SiteDatabase {
     pub fn plan_export(&self, targets: &[IdPath]) -> CoreResult<FragmentExport<'_>> {
         let mut plan = FragmentExport::new(self);
         for path in targets {
-            plan.add_target(path)?;
+            plan.add_target(self.resolve_for_export(path)?)?;
         }
         Ok(plan)
+    }
+
+    /// [`SiteDatabase::plan_export`] over stored nodes, each standing for
+    /// its id path: the plan the subquery answer of a site is written from.
+    pub fn plan_export_nodes(&self, targets: &[NodeId]) -> CoreResult<FragmentExport<'_>> {
+        let mut plan = FragmentExport::new(self);
+        for &node in targets {
+            plan.add_target(node)?;
+        }
+        Ok(plan)
+    }
+
+    fn resolve_for_export(&self, path: &IdPath) -> CoreResult<NodeId> {
+        path.resolve(&self.doc)
+            .ok_or_else(|| CoreError::Protocol(format!("export: no node at {path}")))
     }
 
     /// Plans a wire fragment carrying only the *local information* of the
@@ -292,11 +292,14 @@ impl SiteDatabase {
     /// a subquery matches nothing — the requester learns that a cached
     /// child was deleted.
     pub fn plan_local_info(&self, path: &IdPath) -> CoreResult<FragmentExport<'_>> {
+        self.plan_local_info_node(self.resolve_for_export(path)?)
+    }
+
+    /// [`SiteDatabase::plan_local_info`] of a stored node.
+    pub(crate) fn plan_local_info_node(&self, target: NodeId) -> CoreResult<FragmentExport<'_>> {
         let mut plan = FragmentExport::new(self);
-        let chain = plan.resolve_chain(path)?;
-        let (&target, ancestors) = chain.split_last().expect("resolved chain is non-empty");
         let mut cursor = None;
-        for &db in ancestors {
+        for db in plan.ancestors(target) {
             let n = plan.id_info(db);
             plan.attach(cursor, db, n)?;
             cursor = Some(n);

@@ -1,5 +1,6 @@
 //! IDable nodes, ID paths, and local information (Definitions 3.1 / 3.2).
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -146,6 +147,87 @@ impl IdPath {
         rev.reverse();
         Some(IdPath { segments: rev.into() })
     }
+}
+
+/// Where [`IdPath::of_node`] of a stored node leads back to under
+/// [`IdPath::resolve`], found without building the path.
+///
+/// The two differ only around duplicate `(tag, id)` siblings, which
+/// Definition 3.1 rules out but a document can still hold: `resolve` takes
+/// the first such sibling at every level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PathTarget {
+    /// Some node on the root path has no id: `of_node` gives `None`.
+    Unpinned,
+    /// The path resolves nowhere: an earlier duplicate hides an ancestor
+    /// that has the next segment.
+    Hidden,
+    /// The node the path resolves to — the node itself unless an earlier
+    /// duplicate stands in for it or for one of its ancestors.
+    At(NodeId),
+}
+
+impl PathTarget {
+    /// The target of `node`'s own id path.
+    pub(crate) fn of(doc: &Document, node: NodeId) -> PathTarget {
+        match doc.parent(node) {
+            Some(p) => PathTarget::of(doc, p).child(doc, node),
+            None => match doc.attr(node, "id") {
+                None => PathTarget::Unpinned,
+                Some(id) => doc
+                    .root()
+                    .filter(|&r| doc.name(r) == doc.name(node) && doc.attr(r, "id") == Some(id))
+                    .map_or(PathTarget::Hidden, PathTarget::At),
+            },
+        }
+    }
+
+    /// The target of `node`'s id path, given `self`, its parent's.
+    pub(crate) fn child(self, doc: &Document, node: NodeId) -> PathTarget {
+        let Some(id) = doc.attr(node, "id") else {
+            return PathTarget::Unpinned;
+        };
+        match self {
+            PathTarget::At(p) => doc
+                .child_by_name_id(p, doc.name(node), id)
+                .map_or(PathTarget::Hidden, PathTarget::At),
+            other => other,
+        }
+    }
+}
+
+/// Orders two nodes of one document as their [`IdPath`]s order (a prefix
+/// first, then `(tag, id)` segment by segment), without building the
+/// paths. Meant for id-pinned nodes that their own paths resolve to
+/// ([`PathTarget::At`] of themselves): two such nodes never have
+/// siblings with equal `(tag, id)` where their root paths fork.
+pub(crate) fn cmp_by_id_path(doc: &Document, a: NodeId, b: NodeId) -> Ordering {
+    let seg = |n: NodeId| (doc.name(n), doc.attr(n, "id").unwrap_or(""));
+    if a == b {
+        return Ordering::Equal;
+    }
+    // Siblings, the common case.
+    if doc.parent(a) == doc.parent(b) {
+        return seg(a).cmp(&seg(b));
+    }
+    let (da, db) = (doc.depth(a), doc.depth(b));
+    let up = |mut n: NodeId, k: usize| {
+        for _ in 0..k {
+            n = doc.parent(n).expect("depth counts the ancestors");
+        }
+        n
+    };
+    let (mut x, mut y) = (up(a, da.saturating_sub(db)), up(b, db.saturating_sub(da)));
+    if x == y {
+        // One is an ancestor of the other.
+        return da.cmp(&db);
+    }
+    // Climb to the distinct siblings where the root paths fork.
+    while doc.parent(x) != doc.parent(y) {
+        x = doc.parent(x).expect("distinct nodes below a common root");
+        y = doc.parent(y).expect("distinct nodes below a common root");
+    }
+    seg(x).cmp(&seg(y))
 }
 
 impl fmt::Display for IdPath {

@@ -29,18 +29,30 @@
 //! asks remain; the final answer is then extracted from the now sufficient
 //! fragment. This is behaviourally equivalent and makes partial-match
 //! caching and answer assembly one mechanism.
+//!
+//! A site answering a subquery ships what it matched as a fragment:
+//! `matched_final_nodes` evaluates the distribution path with its
+//! consistency conjuncts stripped (copying only the steps stripping
+//! changes) and hands the matched arena nodes on to the fragment layer,
+//! which coalesces and exports them without building an id path per
+//! match.
+//! [`matched_final_paths`] is the id-path form it replaced, kept as the
+//! tests' reference.
 
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sensorxml::Document;
-use sensorxpath::analysis::{split_step_predicates, SplitPredicates};
-use sensorxpath::{Axis, Expr, LocationPath, NodeTest, Step, Value, XNode};
+use sensorxml::{Document, NodeId};
+use sensorxpath::analysis::{
+    classify_conjunct, split_step_predicates, ConjunctClass, SplitPredicates,
+};
+use sensorxpath::eval::apply_step;
+use sensorxpath::{Axis, BinOp, Expr, LocationPath, NodeTest, Step, Value, XNode};
 
 use crate::error::{CoreError, CoreResult};
 use crate::fragment::SiteDatabase;
-use crate::idable::IdPath;
+use crate::idable::{IdPath, PathTarget};
 use crate::service::Service;
 
 mod exec;
@@ -217,8 +229,17 @@ pub fn plan_query(expr: &Expr, service: &Service) -> CoreResult<QueryPlan> {
         Some(fetch_anchor(&path.steps, consumed, &is_idable))
     };
 
+    // The plan's copy of the query carries the evaluator's sibling-index
+    // hints on its distribution prefix, which `matched_final_nodes`
+    // evaluates as is.
+    let mut expr = expr.clone();
+    if let Expr::Path(p) = &mut expr {
+        for step in &mut p.steps[..consumed] {
+            step.indexed_id = step.compute_indexed_id();
+        }
+    }
     Ok(QueryPlan {
-        expr: expr.clone(),
+        expr,
         dist_steps,
         suffix_len,
         fetch_subtree_at,
@@ -548,21 +569,16 @@ fn strip_path(p: &LocationPath, ts_field: &str) -> LocationPath {
     }
 }
 
+/// Drops a step's pure consistency conjuncts and keeps the others, one
+/// predicate each, the `P_id` conjuncts first. An unclean split changes
+/// nothing here: its mixed conjuncts are in `P_rest` and stay.
 fn strip_step(s: &Step, ts_field: &str) -> Step {
     let split = split_step_predicates(s, ts_field);
-    let mut predicates = Vec::new();
-    if split.clean {
-        predicates.extend(split.id);
-        predicates.extend(split.rest);
-    } else {
-        // Unsplittable: keep everything except recognized pure consistency
-        // conjuncts.
-        predicates.extend(split.id);
-        predicates.extend(split.rest);
-    }
-    let predicates = predicates
-        .into_iter()
-        .map(|p| strip_consistency(&p, ts_field))
+    let predicates = split
+        .id
+        .iter()
+        .chain(&split.rest)
+        .map(|p| strip_consistency(p, ts_field))
         .collect();
     let mut step = Step {
         axis: s.axis,
@@ -580,10 +596,114 @@ fn strip_pred_list(preds: &[Expr], ts_field: &str) -> Vec<Expr> {
     preds.iter().map(|p| strip_consistency(p, ts_field)).collect()
 }
 
-/// Evaluates the plan's *distribution path* (consistency stripped) over the
-/// site fragment and returns the id paths of the matched final-step nodes.
-/// Used to build subquery answers via
-/// [`crate::fragment::SiteDatabase::export_subtrees`].
+/// True when [`strip_consistency`] gives `e` back unchanged (index hints
+/// aside), so it can be evaluated as is.
+fn strip_keeps(e: &Expr, ts_field: &str) -> bool {
+    match e {
+        Expr::Path(p) => p.steps.iter().all(|s| strip_keeps_step(s, ts_field)),
+        Expr::Binary(_, l, r) | Expr::Union(l, r) => {
+            strip_keeps(l, ts_field) && strip_keeps(r, ts_field)
+        }
+        Expr::Negate(e) => strip_keeps(e, ts_field),
+        Expr::Call(_, args) => args.iter().all(|a| strip_keeps(a, ts_field)),
+        Expr::Filter { primary, predicates, trailing } => {
+            strip_keeps(primary, ts_field)
+                && predicates.iter().all(|p| strip_keeps(p, ts_field))
+                && trailing.iter().all(|s| strip_keeps_step(s, ts_field))
+        }
+        _ => true,
+    }
+}
+
+/// [`strip_keeps`] for [`strip_step`]: no `and` chain to split, no
+/// consistency conjunct to drop, no `P_id` conjunct after a `P_rest` one
+/// to move forward, and nothing nested to strip.
+fn strip_keeps_step(s: &Step, ts_field: &str) -> bool {
+    let mut rest_seen = false;
+    s.predicates.iter().all(|p| {
+        let in_place = match classify_conjunct(p, ts_field) {
+            _ if matches!(p, Expr::Binary(BinOp::And, ..)) => false,
+            ConjunctClass::Consistency => false,
+            ConjunctClass::Id => !rest_seen,
+            ConjunctClass::Rest | ConjunctClass::Mixed => {
+                rest_seen = true;
+                true
+            }
+        };
+        in_place && strip_keeps(p, ts_field)
+    })
+}
+
+/// The stored nodes a subquery answer ships: the evaluator's node set for
+/// the plan's *distribution path* (consistency stripped) over the site
+/// fragment, kept where the whole root path has ids, each replaced by the
+/// node its [`IdPath`] resolves to ([`PathTarget`]), deduplicated, in
+/// arena order ([`crate::fragment::SiteDatabase::coalesce_covering_nodes`]
+/// puts its result in [`IdPath`] order). These are exactly the nodes
+/// [`matched_final_paths`] names, found without building a path per
+/// match; a match whose path resolves nowhere is the error exporting that
+/// path gives.
+///
+/// Steps that stripping would change are stripped one by one; the others
+/// (all of them for a generalized subquery) are evaluated from the plan,
+/// whose distribution prefix [`plan_query`] has hinted for the sibling
+/// index.
+pub(crate) fn matched_final_nodes(
+    plan: &QueryPlan,
+    db: &SiteDatabase,
+    now: f64,
+) -> CoreResult<Vec<NodeId>> {
+    let Expr::Path(orig) = &plan.expr else {
+        return Err(CoreError::Query("non-path plan".into()));
+    };
+    let ts_field = &db.service().timestamp_field;
+    let doc = db.doc();
+    let vars = sensorxpath::Vars::new();
+    let root = doc.root().map(XNode::Node).unwrap_or(XNode::Document);
+    let mut ctx = sensorxpath::EvalContext::new(doc, root, &vars);
+    ctx.now = now;
+    // From the document node: the distribution path counts as absolute.
+    let mut matched = vec![XNode::Document];
+    for step in &orig.steps[..orig.steps.len() - plan.suffix_len] {
+        matched = if strip_keeps_step(step, ts_field) {
+            apply_step(&matched, step, &ctx)?
+        } else {
+            apply_step(&matched, &strip_step(step, ts_field), &ctx)?
+        };
+    }
+    let mut out = Vec::with_capacity(matched.len());
+    // Matches are mostly siblings: their parent's target is looked up once.
+    let mut last_parent: Option<(NodeId, PathTarget)> = None;
+    for n in matched {
+        let XNode::Node(n) = n else { continue };
+        let target = match doc.parent(n) {
+            None => PathTarget::of(doc, n),
+            Some(p) => {
+                let pt = match last_parent {
+                    Some((q, t)) if q == p => t,
+                    _ => PathTarget::of(doc, p),
+                };
+                last_parent = Some((p, pt));
+                pt.child(doc, n)
+            }
+        };
+        match target {
+            PathTarget::Unpinned => {}
+            PathTarget::At(t) => out.push(t),
+            PathTarget::Hidden => {
+                let path = IdPath::of_node(doc, n).unwrap_or_default();
+                return Err(CoreError::Protocol(format!("export: no node at {path}")));
+            }
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    Ok(out)
+}
+
+/// The id paths of the nodes `matched_final_nodes` returns, built per
+/// match: the reference implementation the sub-answer tests compare the
+/// node-id pipeline against.
 pub fn matched_final_paths(
     plan: &QueryPlan,
     db: &SiteDatabase,

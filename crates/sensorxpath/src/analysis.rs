@@ -39,23 +39,32 @@ pub fn id_prefix(expr: &Expr) -> Vec<(String, String)> {
 pub fn id_prefix_of_steps(steps: &[Step]) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for step in steps {
-        if step.axis != Axis::Child {
-            break;
-        }
-        let NodeTest::Name(name) = &step.test else {
-            break;
-        };
-        let id = step
-            .predicates
-            .iter()
-            .flat_map(flatten_conjuncts)
-            .find_map(|c| c.as_id_equals());
-        match id {
-            Some(id) => out.push((name.clone(), id.to_string())),
+        match id_pinned_step(step) {
+            Some((name, id)) => out.push((name.to_string(), id.to_string())),
             None => break,
         }
     }
     out
+}
+
+/// The `(element name, id)` pair of one step of the id-pinned prefix (see
+/// [`id_prefix`]): `Some` iff the step is `child::name` and some conjunct
+/// of its predicate list is exactly `@id = 'literal'` (the first such
+/// conjunct wins). Allocates nothing.
+pub fn id_pinned_step(step: &Step) -> Option<(&str, &str)> {
+    fn first_id(e: &Expr) -> Option<&str> {
+        match e {
+            Expr::Binary(crate::ast::BinOp::And, l, r) => first_id(l).or_else(|| first_id(r)),
+            other => other.as_id_equals(),
+        }
+    }
+    if step.axis != Axis::Child {
+        return None;
+    }
+    let NodeTest::Name(name) = &step.test else {
+        return None;
+    };
+    step.predicates.iter().find_map(first_id).map(|id| (name.as_str(), id))
 }
 
 /// Flattens a predicate expression's top-level `and` chain into conjuncts.
@@ -210,18 +219,15 @@ fn refs_of_path(p: &LocationPath, ts_field: &str) -> Refs {
         return r;
     }
     // `@id` alone, possibly behind self steps.
-    let effective: Vec<&Step> = p
-        .steps
-        .iter()
-        .filter(|s| !(s.axis == Axis::SelfAxis && s.test == NodeTest::Node))
-        .collect();
-    match effective.as_slice() {
-        [s] if s.axis == Axis::Attribute && s.predicates.is_empty() => match &s.test {
+    let mut effective =
+        p.steps.iter().filter(|s| !(s.axis == Axis::SelfAxis && s.test == NodeTest::Node));
+    match (effective.next(), effective.next()) {
+        (Some(s), None) if s.axis == Axis::Attribute && s.predicates.is_empty() => match &s.test {
             NodeTest::Name(n) if n == "id" => r.id_attr = true,
             NodeTest::Name(n) if n == ts_field => r.timestamp = true,
             _ => r.other = true,
         },
-        [s] if s.axis == Axis::Child && s.predicates.is_empty() => match &s.test {
+        (Some(s), None) if s.axis == Axis::Child && s.predicates.is_empty() => match &s.test {
             NodeTest::Name(n) if n == ts_field => r.timestamp = true,
             _ => r.other = true,
         },
@@ -263,12 +269,11 @@ pub fn split_step_predicates(step: &Step, timestamp_field: &str) -> SplitPredica
     };
     for pred in &step.predicates {
         for conjunct in flatten_conjuncts(pred) {
-            let r = refs_of(conjunct, timestamp_field);
-            match (r.id_attr, r.timestamp, r.other) {
-                (true, false, false) => out.id.push(conjunct.clone()),
-                (false, true, false) => out.consistency.push(conjunct.clone()),
-                (false, _, _) => out.rest.push(conjunct.clone()),
-                (true, ..) => {
+            match classify_conjunct(conjunct, timestamp_field) {
+                ConjunctClass::Id => out.id.push(conjunct.clone()),
+                ConjunctClass::Consistency => out.consistency.push(conjunct.clone()),
+                ConjunctClass::Rest => out.rest.push(conjunct.clone()),
+                ConjunctClass::Mixed => {
                     // Mixed conjunct: unsplittable.
                     out.rest.push(conjunct.clone());
                     out.clean = false;
@@ -277,6 +282,32 @@ pub fn split_step_predicates(step: &Step, timestamp_field: &str) -> SplitPredica
         }
     }
     out
+}
+
+/// Where [`split_step_predicates`] puts one conjunct.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConjunctClass {
+    /// References only the `id` attribute: `P_id`.
+    Id,
+    /// References only the timestamp field: `P_consistency`.
+    Consistency,
+    /// Anything else without an `id` reference: `P_rest`.
+    Rest,
+    /// An `id` reference mixed with other data: `P_rest`, and the split is
+    /// not clean.
+    Mixed,
+}
+
+/// Classifies one predicate conjunct (not an `and` chain: split it with
+/// [`flatten_conjuncts`] first) without copying it.
+pub fn classify_conjunct(conjunct: &Expr, timestamp_field: &str) -> ConjunctClass {
+    let r = refs_of(conjunct, timestamp_field);
+    match (r.id_attr, r.timestamp, r.other) {
+        (true, false, false) => ConjunctClass::Id,
+        (false, true, false) => ConjunctClass::Consistency,
+        (false, _, _) => ConjunctClass::Rest,
+        (true, ..) => ConjunctClass::Mixed,
+    }
 }
 
 /// Builds the relative path consisting of `path.steps[from..]` — the

@@ -162,7 +162,16 @@ proptest! {
         owner.bootstrap_owned(&db.master, &db.root_path(), true).unwrap();
 
         let chosen: Vec<IdPath> = picks.iter().map(|&i| spaces[i % spaces.len()].clone()).collect();
-        let coalesced = owner.coalesce_covering_paths(&chosen);
+        let mut nodes: Vec<_> = chosen.iter().map(|p| p.resolve(owner.doc()).unwrap()).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let coalesced: Vec<IdPath> = owner
+            .coalesce_covering_nodes(&nodes)
+            .into_iter()
+            .map(|n| IdPath::of_node(owner.doc(), n).unwrap())
+            .collect();
+        // In id-path order, the order the export adds targets in.
+        prop_assert!(coalesced.windows(2).all(|w| w[0] < w[1]));
         // Every chosen path is covered by some coalesced path.
         for c in &chosen {
             prop_assert!(

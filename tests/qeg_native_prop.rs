@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 
-use irisnet_bench::{build_cluster, Arch, DbParams, ParkingDb, QueryType, Workload};
+use irisnet_bench::{build_cluster, Arch, DbParams, ParkingDb, Workload};
 use std::sync::Arc;
 
 use irisnet_core::qeg::{plan_query, Ask, QueryPlan};
@@ -30,6 +30,10 @@ use irisnet_core::{
 use irisnet_xslt_oracle::{Creation, XsltQeg};
 use irisobs::{check_well_formed, structure_digest, MemRecorder};
 use simnet::CostModel;
+
+#[path = "support/query_shapes.rs"]
+mod query_shapes;
+use query_shapes::{queries, TOLERANCES};
 
 fn tiny_params() -> DbParams {
     DbParams {
@@ -79,67 +83,6 @@ fn op_strategy(paths: usize, spaces: usize) -> impl Strategy<Value = Op> {
         (0..spaces, any::<bool>(), 1u32..600).prop_map(|(i, a, dt)| Op::Update(i, a, dt)),
         (0..paths).prop_map(Op::Evict),
     ]
-}
-
-/// Freshness tolerances the queries use (seconds).
-const TOLERANCES: [u32; 2] = [5, 40];
-
-/// The query shapes, instantiated over the database.
-fn queries(db: &ParkingDb, seed: u64) -> Vec<String> {
-    let mut w = Workload::qw_mix(db, seed);
-    let city = format!(
-        "/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']/city[@id='{}']",
-        db.city_name((seed % 2) as usize)
-    );
-    let county = "/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']";
-    let n = 1 + seed % 2;
-    let b = 1 + seed % 3;
-    let mut qs = vec![
-        w.next_query_of(QueryType::T1),
-        w.next_query_of(QueryType::T2),
-        w.next_query_of(QueryType::T3),
-        w.next_query_of(QueryType::T4),
-        // `//`: a mid-path search, a leading search, and two in a row.
-        "/usRegion[@id='NE']//parkingSpace[available='yes']".to_string(),
-        format!("/usRegion[@id='NE']/state[@id='PA']//block[@id='{b}']/parkingSpace"),
-        format!("//neighborhood[@id='n{n}']//parkingSpace[price='0']"),
-        // `*` steps.
-        format!("{county}/*/neighborhood[@id='n{n}']/*[@id='{b}']/parkingSpace"),
-        format!("{city}/*/block[@id='{b}']/*[price > 0]"),
-        // Or-ed ids and an unclean (id mixed with value) predicate.
-        format!("{city}/neighborhood[@id='n1' or @id='n2']/block[@id='{b}']/parkingSpace"),
-        format!("{city}/neighborhood[@id='n{n}' or @zipcode='15202']/block[@id='1']/parkingSpace"),
-        // Nesting depth 1 (gate pulled up to the block) and a predicate
-        // traversing IDable children (gate at the neighborhood).
-        format!(
-            "{city}/neighborhood[@id='n{n}']/block[@id='{b}']\
-             /parkingSpace[not(price > ../parkingSpace/price)]"
-        ),
-        format!("{city}/neighborhood[@id='n{n}'][block/parkingSpace/available='yes']/block"),
-        // Number-valued predicates — the positional form the parser admits
-        // (a literal `[1]` is rejected at parse time): a template test
-        // coerces them to boolean, a select filter rejects them.
-        format!("{city}/neighborhood[@id='n{n}']/block[@id='{b}']/parkingSpace[price + 0]"),
-        format!("{city}/neighborhood[@id='n{n}']/block[number(@id) - 1]/parkingSpace"),
-        // A whole neighborhood: collect mode over everything below it.
-        format!("{city}/neighborhood[@id='n{n}']"),
-        // Suffix steps below the distribution prefix.
-        format!("{city}/neighborhood[@id='n{n}']/block[@id='{b}']/parkingSpace/available"),
-    ];
-    for tol in TOLERANCES {
-        qs.push(format!(
-            "{city}/neighborhood[@id='n{n}']/block[@id='{b}']\
-             /parkingSpace[available='yes'][@timestamp > now() - {tol}]"
-        ));
-        qs.push(format!(
-            "{city}/neighborhood[@id='n{n}']/block[@id='{b}'][@timestamp > now() - {tol}]\
-             /parkingSpace"
-        ));
-        qs.push(format!(
-            "/usRegion[@id='NE']//parkingSpace[@timestamp > now() - {tol}]"
-        ));
-    }
-    qs
 }
 
 /// An engine's asks for one pass, or its error.
