@@ -11,7 +11,7 @@ use irisdns::SiteAddr;
 use irisnet_bench::{DbParams, ParkingDb, QueryType, Workload};
 use irisnet_core::{Endpoint, Message, OaConfig, OrganizingAgent, Status};
 use irisobs::{check_well_formed, dump_jsonl, parse_spans, render_explain, MemRecorder};
-use simnet::{CostModel, DesCluster};
+use simnet::{Cluster, CostModel, DesCluster};
 
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "obs_trace.jsonl".into());

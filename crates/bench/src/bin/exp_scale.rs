@@ -23,11 +23,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use irisdns::SiteAddr;
 use irisnet_bench::ScaleHierarchy;
-use irisnet_core::{Endpoint, Message, OaConfig};
+use irisnet_core::OaConfig;
 use irisobs::{latency_percentiles, Percentiles};
-use simnet::{CostModel, DesCluster, ShardConfig, ShardedCluster};
+use simnet::{Cluster, CostModel, DesCluster, ShardConfig, ShardedCluster, Target};
 
 const EQUIVALENCE_QUERIES: usize = 24;
 
@@ -68,19 +67,38 @@ fn canon(xml: &str) -> String {
     sensorxml::canonical_string(&doc, doc.root().unwrap())
 }
 
+/// Adds every site of `h` to `cluster`, registers its owners and starts it.
+fn boot(cluster: &mut dyn Cluster, h: &ScaleHierarchy) {
+    for a in h.make_agents(&OaConfig::default()) {
+        cluster.add_site(a);
+    }
+    for (path, addr) in &h.owners {
+        cluster.register_owner(path, *addr);
+    }
+    cluster.start();
+}
+
 fn start_cluster(h: &ScaleHierarchy, shards: usize) -> ShardedCluster {
     let mut cluster = ShardedCluster::with_config(
         h.db.service.clone(),
         ShardConfig { shards, workers_per_shard: 1, force_wire: false },
     );
-    for (path, addr) in &h.owners {
-        cluster.register_owner(path, *addr);
-    }
-    for a in h.make_agents(&OaConfig::default()) {
-        cluster.add_site(a);
-    }
-    cluster.start();
+    boot(&mut cluster, h);
     cluster
+}
+
+/// Poses `sequence` one query at a time through self-starting routing and
+/// returns the canonical answers; every query must succeed.
+fn answers(cluster: &mut dyn Cluster, sequence: &[String]) -> Vec<String> {
+    let replies = cluster.pose_each(Target::Routed, sequence);
+    replies
+        .iter()
+        .zip(sequence)
+        .map(|(r, q)| {
+            assert!(r.ok, "equivalence query failed: {q}: {}", r.answer_xml);
+            canon(&r.answer_xml)
+        })
+        .collect()
 }
 
 /// Closed-loop client phase: `clients` threads, `queries` poses each.
@@ -132,14 +150,7 @@ fn headline(sites: usize, clients: usize, queries: usize, zipf: f64) -> String {
     // caches are cold so the replay sees the same states.
     let mut wq = h.workload(77, zipf);
     let sequence: Vec<String> = (0..EQUIVALENCE_QUERIES).map(|_| wq.next_query()).collect();
-    let sharded: Vec<String> = sequence
-        .iter()
-        .map(|q| {
-            let r = cluster.pose_query(q, Duration::from_secs(60)).expect("reply");
-            assert!(r.ok, "equivalence query failed: {q}: {}", r.answer_xml);
-            canon(&r.answer_xml)
-        })
-        .collect();
+    let sharded = answers(&mut cluster, &sequence);
 
     // Throughput phase under a thread-count watch.
     let stop = Arc::new(AtomicBool::new(false));
@@ -162,28 +173,8 @@ fn headline(sites: usize, clients: usize, queries: usize, zipf: f64) -> String {
     // DES replay: fresh agents from the same hierarchy, same sequence.
     eprintln!("== headline: DES replay of {EQUIVALENCE_QUERIES} queries ==");
     let mut sim = DesCluster::new(CostModel::default());
-    for (path, addr) in &h.owners {
-        h.db.service.register_owner(&mut sim.dns, path, *addr);
-    }
-    for a in h.make_agents(&OaConfig::default()) {
-        sim.add_site(a);
-    }
-    for (i, q) in sequence.iter().enumerate() {
-        sim.schedule_message(
-            i as f64 * 50.0,
-            SiteAddr(1),
-            Message::UserQuery {
-                qid: i as u64 + 1,
-                text: q.clone(),
-                endpoint: Endpoint(10_000 + i as u64),
-            },
-        );
-    }
-    sim.run_until(sequence.len() as f64 * 50.0 + 300.0);
-    let mut replies = sim.take_unclaimed_detailed();
-    replies.sort_by_key(|r| r.endpoint.0);
-    assert_eq!(replies.len(), sequence.len(), "DES replay dropped replies");
-    let des: Vec<String> = replies.iter().map(|r| canon(&r.answer_xml)).collect();
+    boot(&mut sim, &h);
+    let des = answers(&mut sim, &sequence);
     let des_equivalent = sharded == des;
     assert!(des_equivalent, "sharded answers diverged from the DES replay");
 

@@ -19,7 +19,7 @@ use irisdns::SiteAddr;
 use irisnet_bench::{DbParams, ParkingDb, QueryType, Workload};
 use irisnet_core::{CacheMode, OaConfig, OrganizingAgent, RetryPolicy, Status};
 use irisobs::{parse_payload, TelemetryConfig, TelemetryRecorder, WHAT_ALL};
-use simnet::{ShardConfig, ShardedCluster};
+use simnet::{Cluster, ShardConfig, ShardedCluster};
 
 const SCRAPES_PER_DEPTH: usize = 50;
 
@@ -75,7 +75,7 @@ fn scrape_at_depth(db: &ParkingDb, depth: usize) -> (f64, usize) {
         window_depth: depth,
         ..TelemetryConfig::default()
     });
-    let cluster = two_site(db, &rec, OaConfig::default());
+    let mut cluster = two_site(db, &rec, OaConfig::default());
     let mut w3 = Workload::uniform(db, QueryType::T3, 11);
     for _ in 0..32 {
         let r = cluster
@@ -94,9 +94,7 @@ fn scrape_at_depth(db: &ParkingDb, depth: usize) -> (f64, usize) {
     let mut bytes = 0usize;
     let t0 = Instant::now();
     for _ in 0..SCRAPES_PER_DEPTH {
-        let p = cluster
-            .scrape_site(SiteAddr(1), WHAT_ALL, Duration::from_secs(10))
-            .expect("scrape reply");
+        let p = cluster.scrape(SiteAddr(1), WHAT_ALL).expect("scrape reply");
         bytes = p.len();
     }
     let micros = t0.elapsed().as_secs_f64() * 1e6 / SCRAPES_PER_DEPTH as f64;
@@ -124,9 +122,7 @@ fn flight_capture(db: &ParkingDb, path: &str) -> (usize, bool, String) {
         .pose_query_at(&q, SiteAddr(1), Duration::from_secs(30))
         .expect("degraded reply");
     assert!(degraded.partial, "dead site did not degrade the answer");
-    let payload = cluster
-        .scrape_site(SiteAddr(1), WHAT_ALL, Duration::from_secs(10))
-        .expect("scrape reply");
+    let payload = cluster.scrape(SiteAddr(1), WHAT_ALL).expect("scrape reply");
     std::fs::write(path, &payload).expect("write payload file");
     let health2 = rec.plane().health(2).label().to_string();
     cluster.shutdown();

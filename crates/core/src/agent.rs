@@ -27,13 +27,12 @@
 //! into update messages for the OA owning the relevant node (§1, §5.2).
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use irisdns::{AuthoritativeDns, CachingResolver, SiteAddr};
 use irisobs::telemetry::{disabled_payload, TelemetryPlane};
 use irisobs::{CacheOutcome, Link, Recorder, SpanKind};
-use parking_lot::RwLock;
 use sensorxpath::Expr;
 
 use crate::continuous::ContinuousRegistry;
@@ -183,6 +182,18 @@ pub struct HandleOutcome {
     pub tasks: Vec<ReadTask>,
 }
 
+/// Read-locks a site database. Poison is tolerated: a read worker that
+/// panicked mid-task left the database as any reader sees it, and the owner
+/// loop must keep serving the site.
+fn read_db(db: &RwLock<SiteDatabase>) -> RwLockReadGuard<'_, SiteDatabase> {
+    db.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks a site database, tolerating poison like [`read_db`].
+fn write_db(db: &RwLock<SiteDatabase>) -> RwLockWriteGuard<'_, SiteDatabase> {
+    db.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Everything a read worker needs to run this site's [`ReadTask`]s,
 /// detached from the agent itself: the shared database handle and the QEG
 /// factory. A substrate that multiplexes many agents onto shared worker
@@ -198,8 +209,7 @@ pub struct ReadContext {
 impl ReadContext {
     /// Runs one task against a read-locked snapshot of the site database.
     pub fn perform(&self, task: &ReadTask) -> ReadDone {
-        let db = self.db.read();
-        perform_read(task, &self.qeg, &db)
+        perform_read(task, &self.qeg, &read_db(&self.db))
     }
 }
 
@@ -664,7 +674,7 @@ impl OrganizingAgent {
             reg.counter(site, name).set(v);
         }
         // Durability plane: WAL traffic and recovery cost, when attached.
-        if let Some(wal) = self.db.read().wal() {
+        if let Some(wal) = read_db(&self.db).wal() {
             for (name, v) in [
                 ("wal.appends", wal.appends()),
                 ("wal.bytes", wal.bytes()),
@@ -708,7 +718,7 @@ impl OrganizingAgent {
     ) -> CoreResult<RecoveryStats> {
         let wal = Arc::new(SiteWal::new(store));
         wal.note_time(now);
-        let mut db = self.db.write();
+        let mut db = write_db(&self.db);
         let stats = if recovered.is_empty() {
             RecoveryStats::default()
         } else {
@@ -728,16 +738,16 @@ impl OrganizingAgent {
 
     /// The site's WAL handle, if a durability plane is attached.
     pub fn wal(&self) -> Option<Arc<SiteWal>> {
-        self.db.read().wal().cloned()
+        read_db(&self.db).wal().cloned()
     }
 
     /// Writes a snapshot now if one is due (record cadence elapsed or a
     /// non-WAL-expressible mutation happened). Runs at the same quiescent
     /// points as the cache sweep — never on the read path.
     fn maybe_snapshot(&mut self, now: f64) {
-        let due = { self.db.read().wal().is_some_and(|w| w.should_snapshot()) };
+        let due = { read_db(&self.db).wal().is_some_and(|w| w.should_snapshot()) };
         if due {
-            let db = self.db.write();
+            let db = write_db(&self.db);
             if let Some(w) = db.wal().cloned() {
                 w.snapshot(&db.snapshot_xml(), now);
             }
@@ -755,7 +765,7 @@ impl OrganizingAgent {
             return;
         }
         if self.cache_mgr.needs_enforcement(now) {
-            let mut db = self.db.write();
+            let mut db = write_db(&self.db);
             self.cache_mgr.enforce(&mut db, now);
         }
         // The durability plane snapshots at the same quiescent points —
@@ -819,12 +829,12 @@ impl OrganizingAgent {
 
     /// Read access to the site database (shared with read workers).
     pub fn db(&self) -> RwLockReadGuard<'_, SiteDatabase> {
-        self.db.read()
+        read_db(&self.db)
     }
 
     /// Exclusive access to the site database — owner-loop mutations only.
     pub fn db_mut(&self) -> RwLockWriteGuard<'_, SiteDatabase> {
-        self.db.write()
+        write_db(&self.db)
     }
 
     /// A shared handle to the site database for read-path workers.
@@ -1040,7 +1050,7 @@ impl OrganizingAgent {
                     endpoint,
                     &text,
                     &self.service,
-                    &self.db.read(),
+                    &read_db(&self.db),
                     now,
                 );
                 match reg {
@@ -1107,7 +1117,7 @@ impl OrganizingAgent {
         // A freshly joined site with an empty fragment cannot evaluate
         // anything (no ancestor chains to walk): forward to the service
         // apex owner.
-        if self.db.read().doc().root().is_none() {
+        if read_db(&self.db).doc().root().is_none() {
             let apex = self.service.dns_name(&IdPath::root());
             match self.resolver.resolve(&apex, dns, now).map(|o| o.addr) {
                 Some(addr) if addr != self.addr => {
@@ -1495,7 +1505,7 @@ impl OrganizingAgent {
                 Ok(frag) => {
                     let pending = self.pending.get_mut(&pid).expect("found above");
                     if pending.ephemeral && pending.scratch.is_none() {
-                        pending.scratch = Some(self.db.read().clone());
+                        pending.scratch = Some(read_db(&self.db).clone());
                     }
                     // Merge into the private overlay when one exists;
                     // otherwise take the write lock on the shared database
@@ -1503,7 +1513,7 @@ impl OrganizingAgent {
                     let t_m = self.obs.on.then(Instant::now);
                     let merged = match pending.scratch.as_mut() {
                         Some(scratch) => merge_and_compact(scratch, &frag),
-                        None => merge_and_compact(&mut self.db.write(), &frag),
+                        None => merge_and_compact(&mut write_db(&self.db), &frag),
                     };
                     if let Some(t_m) = t_m {
                         merge_secs = t_m.elapsed().as_secs_f64();
@@ -1551,7 +1561,7 @@ impl OrganizingAgent {
             let cost = if self.cache_mgr.is_keep_forever() {
                 UnitCost::default()
             } else {
-                self.db.read().unit_cost(&a.path).unwrap_or_default()
+                read_db(&self.db).unit_cost(&a.path).unwrap_or_default()
             };
             self.cache_mgr.note_cached(a.path, cost, now);
         }
@@ -1841,7 +1851,7 @@ impl OrganizingAgent {
         let mut queue: VecDeque<ReadTask> = oc.tasks.into();
         while let Some(task) = queue.pop_front() {
             let done = {
-                let db = self.db.read();
+                let db = read_db(&self.db);
                 perform_read(&task, &self.qeg, &db)
             };
             let mut more = self.complete_read(done, dns, now);
@@ -1879,13 +1889,13 @@ impl OrganizingAgent {
             return;
         }
         let applied = {
-            let mut db = self.db.write();
+            let mut db = write_db(&self.db);
             db.status_at(&path) == Some(Status::Owned)
                 && db.apply_update(&path, &fields, now).is_ok()
         };
         if applied {
             self.stats.updates_applied += 1;
-            for n in self.continuous.on_update(&path, &self.db.read(), now) {
+            for n in self.continuous.on_update(&path, &read_db(&self.db), now) {
                 out.push(Outbound::ReplyUser {
                     endpoint: n.endpoint,
                     qid: n.qid,

@@ -6,9 +6,8 @@
 //! on the owner loop, so a cache-hit query must (a) perform zero eviction
 //! work and (b) never take the write lock — proven here by holding a read
 //! guard on the shared database for the whole query and requiring it to
-//! complete anyway (the `parking_lot` stub's RwLock blocks writers while
-//! any reader is active, so a write-lock attempt would hang the query
-//! past the timeout).
+//! complete anyway (an `RwLock` blocks a writer while any read guard is
+//! held, so a write-lock attempt would hang the query past the timeout).
 
 use std::sync::mpsc;
 use std::thread;
@@ -118,7 +117,7 @@ fn cache_hit_query_does_zero_eviction_work_and_takes_no_write_lock() {
     // database for its whole lifetime: any write-lock attempt on the
     // query path deadlocks and trips the timeout.
     let shared = oa1.shared_db();
-    let guard = shared.read();
+    let guard = shared.read().unwrap();
     let (tx, rx) = mpsc::channel();
     let worker = thread::spawn(move || {
         let reply = pose(&mut oa1, &mut oa2, &mut dns, 2, 1.0);

@@ -146,7 +146,7 @@ fn concurrent_reads_during_mutation_preserve_invariants() {
                     kind: ReadTaskKind::Execute { plan, ignore_complete: false },
                 };
                 let done = {
-                    let db = db.read();
+                    let db = db.read().unwrap();
                     perform_read(&task, &qeg, &db)
                 };
                 // Execution never errors, whichever snapshot it saw (the

@@ -13,10 +13,21 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use irisdns::{AuthoritativeDns, CachingResolver, SiteAddr};
-use irisnet_core::{Endpoint, Message, OrganizingAgent, Outbound, QueryId};
+use irisnet_core::{Endpoint, IdPath, Message, OrganizingAgent, Outbound, QueryId, Service};
 use irisobs::Recorder;
 
+use crate::cluster::{Cluster, Reply, Target};
 use crate::faults::{FaultCounts, FaultPlan, FaultState};
+
+/// Virtual seconds between the poses of [`Cluster::pose_each`]: far more
+/// than any query takes, so every query (its retries and late duplicates
+/// included) settles before the next is posed, and time-driven policies
+/// (cache TTLs, retry ticks) see the same gaps on every run.
+const POSE_GAP: f64 = 50.0;
+
+/// [`Cluster::pose_each`] replies come back to endpoints above this one,
+/// clear of closed-loop client indices.
+const POSE_ENDPOINTS: u64 = 9_999;
 
 /// Service-time model, calibratable against the sharded runtime.
 ///
@@ -211,8 +222,15 @@ pub struct DesCluster {
     /// comparable with live ones but deterministically timed.
     recorder: Option<Arc<dyn Recorder>>,
     /// Scrapes issued so far; allocates collision-free qids/endpoints for
-    /// [`DesCluster::scrape`].
+    /// [`Cluster::scrape`].
     scrape_seq: u64,
+    /// The service of the first site added: names DNS entries and routes
+    /// client queries.
+    service: Option<Arc<Service>>,
+    /// Virtual time of the next [`Cluster::pose_each`] pose.
+    pose_clock: f64,
+    /// Query id of the next [`Cluster::pose_each`] pose.
+    next_pose_qid: QueryId,
 }
 
 impl DesCluster {
@@ -238,17 +256,10 @@ impl DesCluster {
             link_latency: HashMap::new(),
             recorder: None,
             scrape_seq: 0,
+            service: None,
+            pose_clock: 0.0,
+            next_pose_qid: 1,
         }
-    }
-
-    /// Installs an observability recorder on every site (current and
-    /// future). Agents emit spans into it; the cluster adds per-site
-    /// `des.service_time` / `des.queue_wait` histograms.
-    pub fn set_recorder(&mut self, rec: Arc<dyn Recorder>) {
-        for site in self.sites.values_mut() {
-            site.oa.set_recorder(rec.clone());
-        }
-        self.recorder = Some(rec);
     }
 
     /// Pushes every site's agent counters into the recorder's registry.
@@ -259,58 +270,15 @@ impl DesCluster {
         }
     }
 
-    /// Installs a fault plan; site-to-site deliveries from now on pass
-    /// through its drop/duplicate/delay/crash decisions, and the
-    /// authoritative DNS adopts the plan's staleness window. Client links
-    /// (query injection and reply delivery) stay reliable so that faults
-    /// exercise the protocol, not the harness.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.dns.set_staleness_window(plan.dns_stale_window);
-        self.faults = Some(FaultState::new(plan));
-    }
-
-    /// Observability counters for the active fault plan (zeroes if none).
-    pub fn fault_counts(&self) -> FaultCounts {
-        self.faults.as_ref().map(|f| f.counts).unwrap_or_default()
-    }
-
     /// Adds a site; its address must be unique.
     pub fn add_site(&mut self, mut oa: OrganizingAgent) {
         if let Some(rec) = &self.recorder {
             oa.set_recorder(rec.clone());
         }
+        self.service.get_or_insert_with(|| oa.service.clone());
         let addr = oa.addr;
         let prev = self.sites.insert(addr, Site { oa, busy_until: 0.0, busy_time: 0.0 });
         assert!(prev.is_none(), "duplicate site address {addr:?}");
-    }
-
-    /// Removes a site mid-simulation (a crash with amnesia: in-memory
-    /// state is gone unless the agent carried a durability plane) and
-    /// returns its agent. Events already queued for the address are
-    /// dropped harmlessly on delivery. Pair with
-    /// [`DesCluster::restart_site`] between `run_until` calls.
-    pub fn remove_site(&mut self, addr: SiteAddr) -> Option<OrganizingAgent> {
-        self.tick_scheduled.remove(&addr);
-        let oa = self.sites.remove(&addr).map(|s| s.oa);
-        if oa.is_some() {
-            if let Some(tel) = self.recorder.as_ref().and_then(|r| r.telemetry()) {
-                tel.set_reachable(addr.0, false);
-            }
-        }
-        oa
-    }
-
-    /// (Re)installs a site after [`DesCluster::remove_site`] — the restart
-    /// half of a crash/restart cycle. The replacement agent usually
-    /// recovered its database via `attach_durability`; a fresh agent
-    /// models restart-with-amnesia. Its timers are scheduled from now.
-    pub fn restart_site(&mut self, oa: OrganizingAgent) {
-        let addr = oa.addr;
-        self.add_site(oa);
-        self.schedule_site_tick(addr);
-        if let Some(tel) = self.recorder.as_ref().and_then(|r| r.telemetry()) {
-            tel.set_reachable(addr.0, true);
-        }
     }
 
     /// Access a site's agent (e.g. to inspect stats after a run).
@@ -374,39 +342,6 @@ impl DesCluster {
     /// Schedules a raw message delivery (admin traffic, SA updates, ...).
     pub fn schedule_message(&mut self, at: f64, to: SiteAddr, msg: Message) {
         self.push(at, Payload::ToSite(to, msg));
-    }
-
-    /// Remote-scrapes `site`'s telemetry plane the way a cross-process
-    /// observer would: a [`Message::TelemetryRequest`] is scheduled like
-    /// any other client message, the simulation runs forward until the
-    /// reply lands, and the JSONL payload comes back. `None` means the
-    /// site never answered within the probe window (removed or crashed) —
-    /// the caller's cue to classify it Unreachable
-    /// (`HealthState::classify_probe`). Scraping advances virtual time
-    /// slightly but sends no spans and perturbs no query state.
-    pub fn scrape(&mut self, site: SiteAddr, what: u8) -> Option<String> {
-        self.scrape_seq += 1;
-        // High qid/endpoint ranges never collide with workload clients.
-        let qid = u64::MAX - self.scrape_seq;
-        let endpoint = Endpoint(u64::MAX - self.scrape_seq);
-        self.push(
-            self.now,
-            Payload::ToSite(
-                site,
-                Message::TelemetryRequest { qid, reply_to: SiteAddr(0), endpoint, what },
-            ),
-        );
-        // Probe window: delivery + service + reply latency, doubled per
-        // attempt so a busy site still answers before we give up.
-        let mut window = self.costs.net_latency.mul_add(4.0, 1.0);
-        for _ in 0..8 {
-            self.run_until(self.now + window);
-            if let Some(pos) = self.unclaimed_replies.iter().position(|r| r.qid == qid) {
-                return Some(self.unclaimed_replies.remove(pos).answer_xml);
-            }
-            window *= 2.0;
-        }
-        None
     }
 
     /// Sets the TTL of the *client-side* DNS cache (default: effectively
@@ -624,7 +559,7 @@ impl DesCluster {
 
         // Self-starting routing: extract the LCA name from the query text,
         // resolve it, and send the query straight to that site.
-        let (send_at, target) = match self.route(&text) {
+        let (send_at, target) = match self.route(&text, self.now) {
             Some(x) => x,
             None => {
                 // Unroutable query: complete immediately as a failure so
@@ -654,16 +589,169 @@ impl DesCluster {
         );
     }
 
-    fn route(&mut self, text: &str) -> Option<(f64, SiteAddr)> {
+    /// Resolves where a client posing `text` at `now` sends it, and when
+    /// the query arrives there.
+    fn route(&mut self, text: &str, now: f64) -> Option<(f64, SiteAddr)> {
         if let Some(central) = self.route_override {
-            return Some((self.now + self.costs.net_latency, central));
+            return Some((now + self.costs.net_latency, central));
         }
-        // The service is the same for all sites; borrow it from any.
-        let service = self.sites.values().next()?.oa.service.clone();
-        let (_, _, name) = irisnet_core::routing::route_query(text, &service).ok()?;
-        let outcome = self.client_resolver.resolve(&name, &self.dns, self.now)?;
+        let service = self.service.as_ref()?;
+        let (_, _, name) = irisnet_core::routing::route_query(text, service).ok()?;
+        let outcome = self.client_resolver.resolve(&name, &self.dns, now)?;
         let lookup_latency = outcome.hops as f64 * self.costs.dns_hop_latency;
-        Some((self.now + lookup_latency + self.costs.net_latency, outcome.addr))
+        Some((now + lookup_latency + self.costs.net_latency, outcome.addr))
+    }
+
+    /// One [`Cluster::pose_each`] pose: injected at the pose clock, then
+    /// the cluster runs to the next pose slot — longer, a slot at a time,
+    /// while the reply is still outstanding and events remain.
+    fn pose_one(&mut self, to: Target, text: &str) -> Reply {
+        let at = self.pose_clock.max(self.now);
+        self.pose_clock = at + POSE_GAP;
+        let qid = self.next_pose_qid;
+        self.next_pose_qid += 1;
+        let endpoint = Endpoint(POSE_ENDPOINTS + qid);
+        let (arrive, site) = match to {
+            Target::Site(site) => (at, site),
+            Target::Routed => match self.route(text, at) {
+                Some(x) => x,
+                None => return Reply::default(),
+            },
+        };
+        if !self.sites.contains_key(&site) {
+            return Reply::site_down();
+        }
+        let msg = Message::UserQuery { qid, text: text.to_string(), endpoint };
+        self.push(arrive, Payload::ToSite(site, msg));
+        let mut horizon = self.pose_clock;
+        for _ in 0..8 {
+            self.run_until(horizon);
+            if let Some(r) = self.take_reply(qid, endpoint) {
+                return Reply { answer_xml: r.answer_xml, ok: r.ok, partial: r.partial };
+            }
+            if self.events.is_empty() {
+                break;
+            }
+            horizon += POSE_GAP;
+        }
+        Reply::default()
+    }
+
+    /// Removes and returns the unclaimed reply to `(qid, endpoint)`.
+    fn take_reply(&mut self, qid: QueryId, endpoint: Endpoint) -> Option<UnclaimedReply> {
+        let mine = |r: &UnclaimedReply| r.qid == qid && r.endpoint == endpoint;
+        let pos = self.unclaimed_replies.iter().position(mine)?;
+        Some(self.unclaimed_replies.remove(pos))
+    }
+}
+
+impl Cluster for DesCluster {
+    /// Registers in [`DesCluster::dns`], named by the service of the
+    /// sites added so far.
+    fn register_owner(&mut self, path: &IdPath, addr: SiteAddr) {
+        let svc = self.service.as_ref().expect("register_owner before add_site");
+        svc.register_owner(&mut self.dns, path, addr);
+    }
+
+    fn add_site(&mut self, oa: OrganizingAgent) {
+        DesCluster::add_site(self, oa);
+    }
+
+    fn start(&mut self) {}
+
+    /// Also installs it on sites already added. Agents emit spans into
+    /// it; the cluster adds per-site `des.service_time` / `des.queue_wait`
+    /// histograms.
+    fn set_recorder(&mut self, rec: Arc<dyn Recorder>) {
+        for site in self.sites.values_mut() {
+            site.oa.set_recorder(rec.clone());
+        }
+        self.recorder = Some(rec);
+    }
+
+    /// Also makes the authoritative DNS adopt the plan's staleness window.
+    fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.dns.set_staleness_window(plan.dns_stale_window);
+        self.faults = Some(FaultState::new(plan));
+    }
+
+    fn fault_counts(&self) -> FaultCounts {
+        self.faults.as_ref().map(|f| f.counts).unwrap_or_default()
+    }
+
+    /// Delivers the message now, so it is handled before anything the
+    /// caller does next.
+    fn send(&mut self, to: SiteAddr, msg: Message) {
+        self.schedule_message(self.now, to, msg);
+        self.run_until(self.now);
+    }
+
+    /// A crash with amnesia unless the agent carried a durability plane.
+    /// Events already queued for the address are dropped on delivery.
+    fn stop_site(&mut self, addr: SiteAddr) -> Option<OrganizingAgent> {
+        self.tick_scheduled.remove(&addr);
+        let oa = self.sites.remove(&addr).map(|s| s.oa);
+        if oa.is_some() {
+            if let Some(tel) = self.recorder.as_ref().and_then(|r| r.telemetry()) {
+                tel.set_reachable(addr.0, false);
+            }
+        }
+        oa
+    }
+
+    /// The agent's timers are scheduled from now.
+    fn restart_site(&mut self, oa: OrganizingAgent) {
+        let addr = oa.addr;
+        self.add_site(oa);
+        self.schedule_site_tick(addr);
+        if let Some(tel) = self.recorder.as_ref().and_then(|r| r.telemetry()) {
+            tel.set_reachable(addr.0, true);
+        }
+    }
+
+    /// The request is scheduled like any client message and the
+    /// simulation runs forward until the reply lands; `None` means the
+    /// site never answered within the probe window (removed or crashed),
+    /// the caller's cue to classify it Unreachable
+    /// (`HealthState::classify_probe`). Advances virtual time slightly but
+    /// sends no spans and perturbs no query state.
+    fn scrape(&mut self, site: SiteAddr, what: u8) -> Option<String> {
+        self.scrape_seq += 1;
+        // High qid/endpoint ranges never collide with workload clients.
+        let qid = u64::MAX - self.scrape_seq;
+        let endpoint = Endpoint(u64::MAX - self.scrape_seq);
+        self.push(
+            self.now,
+            Payload::ToSite(
+                site,
+                Message::TelemetryRequest { qid, reply_to: SiteAddr(0), endpoint, what },
+            ),
+        );
+        // Probe window: delivery + service + reply latency, doubled per
+        // attempt so a busy site still answers before we give up.
+        let mut window = self.costs.net_latency.mul_add(4.0, 1.0);
+        for _ in 0..8 {
+            self.run_until(self.now + window);
+            if let Some(r) = self.take_reply(qid, endpoint) {
+                return Some(r.answer_xml);
+            }
+            window *= 2.0;
+        }
+        None
+    }
+
+    /// Pose `k` goes in [`POSE_GAP`] virtual seconds after pose `k - 1`
+    /// (or when that one's reply lands, if later). A pose to a stopped
+    /// site fails at once with [`Reply::site_down`], as the sharded
+    /// runtime's does.
+    fn pose_each(&mut self, to: Target, queries: &[String]) -> Vec<Reply> {
+        queries.iter().map(|q| self.pose_one(to, q)).collect()
+    }
+
+    fn finish(&mut self) -> Vec<OrganizingAgent> {
+        let mut agents: Vec<OrganizingAgent> = self.sites.drain().map(|(_, s)| s.oa).collect();
+        agents.sort_by_key(|a| a.addr);
+        agents
     }
 }
 
@@ -703,8 +791,6 @@ mod tests {
         oa2.db_mut()
             .bootstrap_owned(&master(), &pgh.child("neighborhood", "Shadyside"), true)
             .unwrap();
-        svc.register_owner(&mut sim.dns, &root, SiteAddr(1));
-        svc.register_owner(&mut sim.dns, &pgh.child("neighborhood", "Shadyside"), SiteAddr(2));
         // Site 1 must genuinely lack Shadyside: demote and evict it so
         // only the ID stub remains.
         let shady = pgh.child("neighborhood", "Shadyside");
@@ -714,6 +800,8 @@ mod tests {
         oa1.db_mut().evict(&shady).unwrap();
         sim.add_site(oa1);
         sim.add_site(oa2);
+        sim.register_owner(&root, SiteAddr(1));
+        sim.register_owner(&shady, SiteAddr(2));
         sim
     }
 
@@ -785,8 +873,8 @@ mod tests {
         let root = IdPath::from_pairs([("usRegion", "NE")]);
         let oa = OrganizingAgent::new(SiteAddr(1), svc.clone(), OaConfig::default());
         oa.db_mut().bootstrap_owned(&master(), &root, true).unwrap();
-        svc.register_owner(&mut sim.dns, &root, SiteAddr(1));
         sim.add_site(oa);
+        sim.register_owner(&root, SiteAddr(1));
         let sp = root
             .child("state", "PA")
             .child("county", "A")

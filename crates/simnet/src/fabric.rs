@@ -8,27 +8,28 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use irisdns::SiteAddr;
 use irisnet_core::Message;
 
 use crate::faults::{FaultCounts, FaultPlan, FaultState};
+use crate::lock;
 
 /// A hand-rolled task queue shared between an owner/event loop and its
 /// read workers. Closing wakes every blocked worker so they can exit.
 /// Generic over the work item; the sharded runtime tags each
 /// [`irisnet_core::ReadTask`] with the owning site.
 pub(crate) struct WorkQueue<T> {
-    state: StdMutex<(std::collections::VecDeque<(T, Instant)>, bool)>,
+    state: Mutex<(std::collections::VecDeque<(T, Instant)>, bool)>,
     cv: Condvar,
 }
 
 impl<T> WorkQueue<T> {
     pub(crate) fn new() -> WorkQueue<T> {
         WorkQueue {
-            state: StdMutex::new((std::collections::VecDeque::new(), false)),
+            state: Mutex::new((std::collections::VecDeque::new(), false)),
             cv: Condvar::new(),
         }
     }
@@ -36,7 +37,7 @@ impl<T> WorkQueue<T> {
     /// Enqueues an item (stamped for queue-wait accounting) and returns the
     /// queue depth after the push.
     pub(crate) fn push(&self, item: T) -> usize {
-        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = lock(&self.state);
         g.0.push_back((item, Instant::now()));
         self.cv.notify_one();
         g.0.len()
@@ -47,7 +48,7 @@ impl<T> WorkQueue<T> {
     /// complete the abandoned tasks (with `SiteDown` results) so blocked
     /// clients get an answer instead of a hang.
     pub(crate) fn close_abandon(&self) -> Vec<T> {
-        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = lock(&self.state);
         g.1 = true;
         self.cv.notify_all();
         g.0.drain(..).map(|(t, _)| t).collect()
@@ -58,7 +59,7 @@ impl<T> WorkQueue<T> {
     /// [`WorkQueue::close_abandon`]'s caller. Returns the item and how long
     /// it sat queued (seconds).
     pub(crate) fn pop(&self) -> Option<(T, f64)> {
-        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = lock(&self.state);
         loop {
             if g.1 {
                 return None;
@@ -66,7 +67,7 @@ impl<T> WorkQueue<T> {
             if let Some((t, queued_at)) = g.0.pop_front() {
                 return Some((t, queued_at.elapsed().as_secs_f64()));
             }
-            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
+            g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -102,8 +103,8 @@ impl Ord for Delayed {
 /// With no plan installed every send passes straight through.
 pub(crate) struct FaultFabric {
     epoch: Instant,
-    state: StdMutex<Option<FaultState>>,
-    delayed: StdMutex<BinaryHeap<Reverse<Delayed>>>,
+    state: Mutex<Option<FaultState>>,
+    delayed: Mutex<BinaryHeap<Reverse<Delayed>>>,
     delayed_cv: Condvar,
     delayed_seq: AtomicU64,
     closed: AtomicBool,
@@ -113,8 +114,8 @@ impl FaultFabric {
     pub(crate) fn new(epoch: Instant) -> FaultFabric {
         FaultFabric {
             epoch,
-            state: StdMutex::new(None),
-            delayed: StdMutex::new(BinaryHeap::new()),
+            state: Mutex::new(None),
+            delayed: Mutex::new(BinaryHeap::new()),
             delayed_cv: Condvar::new(),
             delayed_seq: AtomicU64::new(0),
             closed: AtomicBool::new(false),
@@ -123,22 +124,17 @@ impl FaultFabric {
 
     /// Installs (or replaces) the active fault plan.
     pub(crate) fn install(&self, plan: FaultPlan) {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = Some(FaultState::new(plan));
+        *lock(&self.state) = Some(FaultState::new(plan));
     }
 
     /// Observability counters for the active plan (zeroes if none).
     pub(crate) fn counts(&self) -> FaultCounts {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|f| f.counts)
-            .unwrap_or_default()
+        lock(&self.state).as_ref().map(|f| f.counts).unwrap_or_default()
     }
 
     fn park(&self, due: Instant, to: SiteAddr, msg: Message) {
         let seq = self.delayed_seq.fetch_add(1, Ordering::Relaxed);
-        let mut g = self.delayed.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = lock(&self.delayed);
         g.push(Reverse(Delayed { due, seq, to, msg }));
         self.delayed_cv.notify_one();
     }
@@ -157,7 +153,7 @@ impl FaultFabric {
         deliver: impl Fn(SiteAddr, Message),
     ) {
         let decision = {
-            let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut g = lock(&self.state);
             g.as_mut().map(|f| {
                 let d = f.decide(from, to);
                 let now_lost = !d.drop && d.extra_delay == 0.0 && self.crash_drop(f, to);
@@ -197,7 +193,7 @@ impl FaultFabric {
     /// parked (the cluster is going down).
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        let _g = self.delayed.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = lock(&self.delayed);
         self.delayed_cv.notify_all();
     }
 
@@ -205,7 +201,7 @@ impl FaultFabric {
     /// due, unless their destination is crashed by then; exits on
     /// [`FaultFabric::close`].
     pub(crate) fn delayer_loop(&self, deliver: impl Fn(SiteAddr, Message)) {
-        let mut g = self.delayed.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = lock(&self.delayed);
         loop {
             if self.closed.load(Ordering::SeqCst) {
                 return;
@@ -218,24 +214,24 @@ impl FaultFabric {
                         let Some(Reverse(d)) = g.pop() else { continue };
                         drop(g);
                         let lost = {
-                            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+                            let mut st = lock(&self.state);
                             st.as_mut().is_some_and(|f| self.crash_drop(f, d.to))
                         };
                         if !lost {
                             deliver(d.to, d.msg);
                         }
-                        g = self.delayed.lock().unwrap_or_else(|e| e.into_inner());
+                        g = lock(&self.delayed);
                         continue;
                     }
                     Some(d.due - now)
                 }
             };
             g = match wait {
-                None => self.delayed_cv.wait(g).unwrap_or_else(|e| e.into_inner()),
+                None => self.delayed_cv.wait(g).unwrap_or_else(PoisonError::into_inner),
                 Some(dur) => {
                     self.delayed_cv
                         .wait_timeout(g, dur)
-                        .unwrap_or_else(|e| e.into_inner())
+                        .unwrap_or_else(PoisonError::into_inner)
                         .0
                 }
             };

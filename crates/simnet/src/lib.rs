@@ -16,14 +16,27 @@
 //!   message ordering. Used by the throughput/load-balancing/caching
 //!   experiments (Figs. 7–10), where the quantity of interest is queueing
 //!   and placement, not raw engine speed.
+//!
+//! Both implement [`Cluster`], the one interface a scenario drives them
+//! through (see [`cluster`]).
 
+pub mod cluster;
 pub mod des;
 pub(crate) mod fabric;
 pub mod faults;
 pub mod shard;
 pub mod wire;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+pub use cluster::{Cluster, Reply, Target};
 pub use des::{ClientLoad, CostModel, DesCluster, ReplyRecord, UnclaimedReply};
 pub use faults::{CrashWindow, FaultCounts, FaultPlan, FaultState};
 pub use shard::{cache_stats_total, LiveReply, ShardClient, ShardConfig, ShardedCluster};
 pub use wire::{decode_frame, encode_frame, split_frame, WireError, WIRE_VERSION};
+
+/// Locks `m`, tolerating poison: a thread that panicked while holding a
+/// runtime table leaves it consistent, and shutdown must still drain it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -34,7 +34,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,11 +44,16 @@ use irisnet_core::{
     QueryId, ReadContext, ReadDone, ReadResult, ReadTask, ReadTaskKind, Service,
 };
 use irisobs::{Histogram, Recorder};
-use parking_lot::Mutex;
 
+use crate::cluster::{Cluster, Reply, Target};
 use crate::fabric::{FaultFabric, WorkQueue};
 use crate::faults::{FaultCounts, FaultPlan};
+use crate::lock;
 use crate::wire::{decode_frame, encode_frame};
+
+/// How long [`Cluster::pose_each`] and [`Cluster::scrape`] wait for a
+/// reply.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// The `(query id, answer XML, ok, partial)` tuples pushed back to clients.
 pub type ReplyTuple = (QueryId, String, bool, bool);
@@ -110,23 +115,19 @@ fn site_down_done(task: &ReadTask) -> ReadDone {
 }
 
 /// Sizing knobs for [`ShardedCluster`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardConfig {
     /// Number of shard event loops; `0` means auto:
     /// `max(1, available cores - 1)` (one core reserved for clients).
     pub shards: usize,
-    /// Read workers per shard; `0` runs reads inline on the shard loop
-    /// (serial semantics, zero extra threads).
+    /// Read workers per shard; `0` (the default) runs reads inline on the
+    /// shard loop (serial semantics, zero extra threads). A pool pays off
+    /// only with two or more workers under many concurrent clients on
+    /// heavy reads (DESIGN §4d).
     pub workers_per_shard: usize,
     /// Frame *every* send, including same-shard ones. Slower; used by the
     /// equivalence tests to prove the wire codec is semantically invisible.
     pub force_wire: bool,
-}
-
-impl Default for ShardConfig {
-    fn default() -> ShardConfig {
-        ShardConfig { shards: 0, workers_per_shard: 1, force_wire: false }
-    }
 }
 
 impl ShardConfig {
@@ -174,8 +175,14 @@ impl Router {
     /// is not registered (stopped or never added). `src_shard` is `None`
     /// for non-shard senders (clients, admin, the fault delayer), which
     /// always cross the wire boundary.
+    ///
+    /// The route map stays locked until the envelope is enqueued: once a
+    /// site is unrouted, every envelope routed to it is already ahead of
+    /// the `Detach`/`Stop` that follows, so none lands behind a loop that
+    /// has stopped reading and strands its client.
     fn deliver(&self, src_shard: Option<usize>, to: SiteAddr, msg: Message) -> bool {
-        let Some(dest) = self.shard_of.lock().get(&to).copied() else {
+        let routes = lock(&self.shard_of);
+        let Some(&dest) = routes.get(&to) else {
             return false;
         };
         let framed = self.force_wire || src_shard != Some(dest);
@@ -196,7 +203,7 @@ impl Router {
     /// sites fail fast with `SiteDown`. Returns the unrouted addresses so
     /// the caller can flip their telemetry health FSMs.
     fn unregister_shard(&self, shard: usize) -> Vec<SiteAddr> {
-        let mut map = self.shard_of.lock();
+        let mut map = lock(&self.shard_of);
         let gone: Vec<SiteAddr> =
             map.iter().filter(|(_, s)| **s == shard).map(|(a, _)| *a).collect();
         map.retain(|_, s| *s != shard);
@@ -204,7 +211,7 @@ impl Router {
     }
 
     fn unregister_all(&self) -> Vec<SiteAddr> {
-        let mut map = self.shard_of.lock();
+        let mut map = lock(&self.shard_of);
         let gone: Vec<SiteAddr> = map.keys().copied().collect();
         map.clear();
         gone
@@ -255,8 +262,8 @@ pub struct ShardedCluster {
 }
 
 impl ShardedCluster {
-    /// Creates an empty cluster with default sizing (auto shards, one read
-    /// worker per shard).
+    /// Creates an empty cluster with default sizing (auto shards, reads
+    /// inline on the shard loops).
     pub fn new(service: Arc<Service>) -> ShardedCluster {
         ShardedCluster::with_config(service, ShardConfig::default())
     }
@@ -302,32 +309,9 @@ impl ShardedCluster {
         self.recorder = Some(rec);
     }
 
-    /// Installs a fault plan (same decision streams as the DES; client
-    /// reply channels stay reliable). The same seed yields the same
-    /// per-link decision streams, though thread interleaving can reorder
-    /// which message a decision lands on. The delayer
-    /// thread's re-injections cross the wire boundary like any non-shard
-    /// sender.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.dns.lock().set_staleness_window(plan.dns_stale_window);
-        self.faults.install(plan);
-        self.fault_plan_installed = true;
-        self.maybe_spawn_delayer();
-    }
-
-    /// Observability counters for the active fault plan (zeroes if none).
-    pub fn fault_counts(&self) -> FaultCounts {
-        self.faults.counts()
-    }
-
-    /// The shared authoritative DNS (for registrations during setup).
-    pub fn dns(&self) -> &Arc<Mutex<AuthoritativeDns>> {
-        &self.dns
-    }
-
     /// Registers `path → addr` in DNS (setup convenience).
     pub fn register_owner(&self, path: &IdPath, addr: SiteAddr) {
-        self.service.register_owner(&mut self.dns.lock(), path, addr);
+        self.service.register_owner(&mut lock(&self.dns), path, addr);
     }
 
     /// Queues an agent for the shard `addr.0 % shards`. Must be called
@@ -361,7 +345,7 @@ impl ShardedCluster {
         });
         let mut per_shard: Vec<Vec<OrganizingAgent>> = (0..n).map(|_| Vec::new()).collect();
         {
-            let mut map = router.shard_of.lock();
+            let mut map = lock(&router.shard_of);
             for oa in self.pending.drain(..) {
                 let s = (oa.addr.0 as usize) % n;
                 map.insert(oa.addr, s);
@@ -392,7 +376,7 @@ impl ShardedCluster {
         }
         self.router = Some(router);
         if let Some(r) = &self.router {
-            for addr in r.shard_of.lock().keys() {
+            for addr in lock(&r.shard_of).keys() {
                 self.mark_reachable(*addr, true);
             }
         }
@@ -465,7 +449,7 @@ impl ShardedCluster {
         let (_, _, name) = irisnet_core::routing::route_query(text, &self.service).ok()?;
         let now = self.epoch.elapsed().as_secs_f64();
         let target = {
-            let dns = self.dns.lock();
+            let dns = lock(&self.dns);
             self.client_resolver.resolve(&name, &dns, now)?.addr
         };
         self.pose_query_at(text, target, timeout)
@@ -490,29 +474,6 @@ impl ShardedCluster {
         )
     }
 
-    /// Pulls a telemetry payload (`what` is one of the `irisobs::WHAT_*`
-    /// selectors) from a running site and blocks for the reply. The
-    /// request crosses the wire boundary like any client message, so the
-    /// frames round-trip through the codec. Returns `None` on timeout or
-    /// if the site is gone — callers classify that as `Unreachable`.
-    pub fn scrape_site(
-        &self,
-        site: SiteAddr,
-        what: u8,
-        timeout: Duration,
-    ) -> Option<String> {
-        let router = self.router.as_ref().expect("scrape before start");
-        scrape_routed(
-            router,
-            &self.replies,
-            &self.next_endpoint,
-            &self.next_qid,
-            site,
-            what,
-            timeout,
-        )
-    }
-
     /// Registers a continuous query at `site` and returns the stream of
     /// pushed answers (§7): the initial snapshot first, then one message
     /// per change. Dropping the receiver simply discards further pushes;
@@ -526,57 +487,9 @@ impl ShardedCluster {
         let endpoint = Endpoint(self.next_endpoint.fetch_add(1, Ordering::Relaxed));
         let qid = self.next_qid.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        self.replies.lock().insert(endpoint, tx);
+        lock(&self.replies).insert(endpoint, tx);
         router.deliver(None, site, Message::Subscribe { qid, text: text.to_string(), endpoint });
         (qid, rx)
-    }
-
-    /// Stops one *site* mid-run and returns its agent — the crash half of
-    /// a crash/restart cycle. The site is unrouted first, so queries
-    /// routed to it from then on fail fast with `SiteDown`; its shard keeps
-    /// serving its other sites. The agent comes back with pending queries
-    /// failed out loud.
-    pub fn stop_site(&mut self, addr: SiteAddr) -> Option<OrganizingAgent> {
-        let router = self.router.as_ref()?;
-        // Unroute before detaching: once the mapping is gone no new
-        // message can be enqueued for the site, so the Detach is the last
-        // envelope that references it.
-        let shard = router.shard_of.lock().remove(&addr)?;
-        self.mark_reachable(addr, false);
-        let (rtx, rrx) = mpsc::channel();
-        if router.shard_txs[shard]
-            .send(ShardEnvelope::Detach { site: addr, reply: rtx })
-            .is_err()
-        {
-            return None;
-        }
-        rrx.recv().ok().map(|b| *b)
-    }
-
-    /// Restarts a site after [`ShardedCluster::stop_site`]: hands `oa` to
-    /// its shard (assignment is stable: `addr.0 % shards`) and re-routes
-    /// the address. The agent is usually a replacement that recovered its
-    /// database via `attach_durability` (crash → restart replays the
-    /// snapshot plus WAL tail); a fresh agent models restart-with-amnesia.
-    /// The owning shard must still be running.
-    pub fn restart_site(&mut self, mut oa: OrganizingAgent) {
-        let router = self.router.as_ref().expect("restart_site before start");
-        if let Some(rec) = &self.recorder {
-            oa.set_recorder(rec.clone());
-        }
-        let addr = oa.addr;
-        let shard = (addr.0 as usize) % self.shards;
-        // Route-map lock held across the send: any deliver that finds the
-        // mapping observes a channel state where the Attach is already
-        // enqueued, so the agent is installed before its first message.
-        let mut map = router.shard_of.lock();
-        assert!(
-            router.shard_txs[shard].send(ShardEnvelope::Attach(Box::new(oa))).is_ok(),
-            "restart_site: owning shard is stopped"
-        );
-        map.insert(addr, shard);
-        drop(map);
-        self.mark_reachable(addr, true);
     }
 
     /// Stops one shard mid-run and returns its agents. Its sites are
@@ -597,12 +510,120 @@ impl ShardedCluster {
     }
 
     /// Stops every shard and returns all agents (with their stats),
-    /// sorted by address for deterministic inspection. Sites are
-    /// unregistered up front: clients racing the shutdown get immediate
-    /// `SiteDown` failures, and every query already queued inside a shard
-    /// is answered (possibly with a `SiteDown` error) before its loop
-    /// exits — nothing blocks forever.
+    /// sorted by address: [`Cluster::finish`] for a cluster that is no
+    /// longer needed.
     pub fn shutdown(mut self) -> Vec<OrganizingAgent> {
+        self.finish()
+    }
+}
+
+impl Cluster for ShardedCluster {
+    fn register_owner(&mut self, path: &IdPath, addr: SiteAddr) {
+        ShardedCluster::register_owner(self, path, addr);
+    }
+
+    fn add_site(&mut self, oa: OrganizingAgent) {
+        ShardedCluster::add_site(self, oa);
+    }
+
+    fn start(&mut self) {
+        ShardedCluster::start(self);
+    }
+
+    /// Call before [`ShardedCluster::start`]: running shards keep their
+    /// no-op plane.
+    fn set_recorder(&mut self, rec: Arc<dyn Recorder>) {
+        ShardedCluster::set_recorder(self, rec);
+    }
+
+    /// The same seed yields the DES's per-link decision streams, though
+    /// thread interleaving can reorder which message a decision lands on.
+    /// The delayer thread's re-injections cross the wire boundary like any
+    /// non-shard sender.
+    fn set_fault_plan(&mut self, plan: FaultPlan) {
+        lock(&self.dns).set_staleness_window(plan.dns_stale_window);
+        self.faults.install(plan);
+        self.fault_plan_installed = true;
+        self.maybe_spawn_delayer();
+    }
+
+    fn fault_counts(&self) -> FaultCounts {
+        self.faults.counts()
+    }
+
+    fn send(&mut self, to: SiteAddr, msg: Message) {
+        ShardedCluster::send(self, to, msg);
+    }
+
+    /// The site is unrouted first, so queries routed to it from then on
+    /// fail fast with `SiteDown`; its shard keeps serving its other sites.
+    /// The agent comes back with pending queries failed out loud.
+    fn stop_site(&mut self, addr: SiteAddr) -> Option<OrganizingAgent> {
+        let router = self.router.as_ref()?;
+        // Unroute before detaching: once the mapping is gone no new
+        // message can be enqueued for the site, so the Detach is the last
+        // envelope that references it.
+        let shard = lock(&router.shard_of).remove(&addr)?;
+        self.mark_reachable(addr, false);
+        let (rtx, rrx) = mpsc::channel();
+        if router.shard_txs[shard]
+            .send(ShardEnvelope::Detach { site: addr, reply: rtx })
+            .is_err()
+        {
+            return None;
+        }
+        rrx.recv().ok().map(|b| *b)
+    }
+
+    /// Hands `oa` to its shard (assignment is stable: `addr.0 % shards`)
+    /// and re-routes the address. The owning shard must still be running.
+    fn restart_site(&mut self, mut oa: OrganizingAgent) {
+        let router = self.router.as_ref().expect("restart_site before start");
+        if let Some(rec) = &self.recorder {
+            oa.set_recorder(rec.clone());
+        }
+        let addr = oa.addr;
+        let shard = (addr.0 as usize) % self.shards;
+        // Route-map lock held across the send: any deliver that finds the
+        // mapping observes a channel state where the Attach is already
+        // enqueued, so the agent is installed before its first message.
+        let mut map = lock(&router.shard_of);
+        assert!(
+            router.shard_txs[shard].send(ShardEnvelope::Attach(Box::new(oa))).is_ok(),
+            "restart_site: owning shard is stopped"
+        );
+        map.insert(addr, shard);
+        drop(map);
+        self.mark_reachable(addr, true);
+    }
+
+    /// [`ShardClient::scrape_site`] with a fixed timeout.
+    fn scrape(&mut self, site: SiteAddr, what: u8) -> Option<String> {
+        self.client().scrape_site(site, what, CLIENT_TIMEOUT)
+    }
+
+    fn pose_each(&mut self, to: Target, queries: &[String]) -> Vec<Reply> {
+        queries
+            .iter()
+            .map(|q| {
+                let reply = match to {
+                    Target::Site(site) => self.pose_query_at(q, site, CLIENT_TIMEOUT),
+                    Target::Routed => self.pose_query(q, CLIENT_TIMEOUT),
+                };
+                reply.map_or_else(Reply::default, |r| Reply {
+                    answer_xml: r.answer_xml,
+                    ok: r.ok,
+                    partial: r.partial,
+                })
+            })
+            .collect()
+    }
+
+    /// Sites are unregistered up front: clients racing the shutdown get
+    /// immediate `SiteDown` failures, and every query already queued
+    /// inside a shard is answered (possibly with a `SiteDown` error)
+    /// before its loop exits — nothing blocks forever.
+    fn finish(&mut self) -> Vec<OrganizingAgent> {
         let mut agents: Vec<OrganizingAgent> = Vec::new();
         if let Some(router) = self.router.take() {
             for addr in router.unregister_all() {
@@ -652,7 +673,7 @@ impl ShardClient {
         let (_, _, name) = irisnet_core::routing::route_query(text, &self.service).ok()?;
         let now = self.epoch.elapsed().as_secs_f64();
         let target = {
-            let dns = self.dns.lock();
+            let dns = lock(&self.dns);
             self.resolver.resolve(&name, &dns, now)?.addr
         };
         self.pose_query_at(text, target, timeout)
@@ -676,55 +697,27 @@ impl ShardClient {
         )
     }
 
-    /// Client-side telemetry pull: the [`ShardedCluster::scrape_site`]
-    /// counterpart for per-thread client handles.
-    pub fn scrape_site(
-        &self,
-        site: SiteAddr,
-        what: u8,
-        timeout: Duration,
-    ) -> Option<String> {
-        scrape_routed(
-            &self.router,
-            &self.replies,
-            &self.next_endpoint,
-            &self.next_qid,
+    /// Pulls a telemetry payload (`what` is one of the `irisobs::WHAT_*`
+    /// selectors) from a running site and blocks for the reply. The
+    /// request is a `TelemetryRequest` with the client sentinel
+    /// (`reply_to` 0), framed across the wire boundary like any client
+    /// message; the payload comes back over a per-request reply channel.
+    /// `None` means the site is unrouted (stopped) or never answered
+    /// within `timeout` — callers classify that as `Unreachable`.
+    pub fn scrape_site(&self, site: SiteAddr, what: u8, timeout: Duration) -> Option<String> {
+        let endpoint = Endpoint(self.next_endpoint.fetch_add(1, Ordering::Relaxed));
+        let qid = self.next_qid.fetch_add(1, Ordering::Relaxed);
+        let (rtx, rrx) = mpsc::channel();
+        lock(&self.replies).insert(endpoint, rtx);
+        let sent = self.router.deliver(
+            None,
             site,
-            what,
-            timeout,
-        )
+            Message::TelemetryRequest { qid, reply_to: SiteAddr(0), endpoint, what },
+        );
+        let got = if sent { rrx.recv_timeout(timeout).ok() } else { None };
+        lock(&self.replies).remove(&endpoint);
+        got.map(|(_, payload, _, _)| payload)
     }
-}
-
-/// Shared scrape-and-wait path: frames a `TelemetryRequest` with the
-/// client sentinel (`reply_to` 0) across the wire boundary; the payload
-/// comes back over the per-request reply channel. `None` means the site is
-/// unrouted or never answered within `timeout`.
-fn scrape_routed(
-    router: &Router,
-    replies: &Mutex<HashMap<Endpoint, Sender<ReplyTuple>>>,
-    next_endpoint: &AtomicU64,
-    next_qid: &AtomicU64,
-    site: SiteAddr,
-    what: u8,
-    timeout: Duration,
-) -> Option<String> {
-    let endpoint = Endpoint(next_endpoint.fetch_add(1, Ordering::Relaxed));
-    let qid = next_qid.fetch_add(1, Ordering::Relaxed);
-    let (rtx, rrx) = mpsc::channel();
-    replies.lock().insert(endpoint, rtx);
-    let sent = router.deliver(
-        None,
-        site,
-        Message::TelemetryRequest { qid, reply_to: SiteAddr(0), endpoint, what },
-    );
-    if !sent {
-        replies.lock().remove(&endpoint);
-        return None;
-    }
-    let got = rrx.recv_timeout(timeout).ok();
-    replies.lock().remove(&endpoint);
-    got.map(|(_, payload, _, _)| payload)
 }
 
 /// Shared pose-and-wait path: frames the `UserQuery` (clients always cross
@@ -741,7 +734,7 @@ fn pose_routed(
     let endpoint = Endpoint(next_endpoint.fetch_add(1, Ordering::Relaxed));
     let qid = next_qid.fetch_add(1, Ordering::Relaxed);
     let (rtx, rrx) = mpsc::channel();
-    replies.lock().insert(endpoint, rtx);
+    lock(replies).insert(endpoint, rtx);
     let posed = Instant::now();
     let sent = router.deliver(
         None,
@@ -749,7 +742,7 @@ fn pose_routed(
         Message::UserQuery { qid, text: text.to_string(), endpoint },
     );
     if !sent {
-        replies.lock().remove(&endpoint);
+        lock(replies).remove(&endpoint);
         return Some(LiveReply {
             qid,
             answer_xml: format!("<error>{}</error>", CoreError::SiteDown),
@@ -759,7 +752,7 @@ fn pose_routed(
         });
     }
     let got = rrx.recv_timeout(timeout).ok();
-    replies.lock().remove(&endpoint);
+    lock(replies).remove(&endpoint);
     got.map(|(qid, answer_xml, ok, partial)| LiveReply {
         qid,
         answer_xml,
@@ -859,7 +852,7 @@ fn shard_loop(
             .spawn(move || {
                 while let Some(((site, task), wait)) = q.pop() {
                     observe(&wait_h, wait);
-                    let ctx = ctxs.lock().get(&site).cloned();
+                    let ctx = lock(&ctxs).get(&site).cloned();
                     let done = match ctx {
                         Some(c) => c.perform(&task),
                         None => site_down_done(&task),
@@ -883,7 +876,7 @@ fn shard_loop(
                     });
                 }
                 Outbound::ReplyUser { endpoint, qid, answer_xml, ok, partial } => {
-                    if let Some(tx) = replies.lock().get(&endpoint) {
+                    if let Some(tx) = lock(&replies).get(&endpoint) {
                         let _ = tx.send((qid, answer_xml, ok, partial));
                     }
                 }
@@ -917,7 +910,7 @@ fn shard_loop(
                             let Some(Reverse((_, site))) = timers.pop() else { break };
                             let Some(oa) = agents.get_mut(&site) else { continue };
                             let outs = {
-                                let mut dns = dns.lock();
+                                let mut dns = lock(&dns);
                                 oa.tick(&mut dns, now)
                             };
                             route(site, outs);
@@ -956,13 +949,13 @@ fn shard_loop(
                 if workers == 0 {
                     // Serial path: `handle` runs read tasks inline.
                     let outs = {
-                        let mut dns = dns.lock();
+                        let mut dns = lock(&dns);
                         oa.handle(msg, &mut dns, now)
                     };
                     route(to, outs);
                 } else {
                     let oc = {
-                        let mut dns = dns.lock();
+                        let mut dns = lock(&dns);
                         oa.handle_split(msg, &mut dns, now)
                     };
                     route(to, oc.out);
@@ -976,7 +969,7 @@ fn shard_loop(
             ShardEnvelope::Done { site, done } => {
                 let Some(oa) = agents.get_mut(&site) else { continue };
                 let oc = {
-                    let mut dns = dns.lock();
+                    let mut dns = lock(&dns);
                     oa.complete_read(done, &mut dns, now)
                 };
                 route(site, oc.out);
@@ -989,12 +982,12 @@ fn shard_loop(
             ShardEnvelope::Attach(boxed) => {
                 let oa = *boxed;
                 let addr = oa.addr;
-                contexts.lock().insert(addr, oa.read_context());
+                lock(&contexts).insert(addr, oa.read_context());
                 rearm(&mut timers, &oa);
                 agents.insert(addr, oa);
             }
             ShardEnvelope::Detach { site, reply } => {
-                contexts.lock().remove(&site);
+                lock(&contexts).remove(&site);
                 if let Some(mut oa) = agents.remove(&site) {
                     // Queries still gathering can never finish once the
                     // site is gone: fail them out loud, like shutdown does.
@@ -1027,7 +1020,7 @@ fn shard_loop(
                 while let Some((site, d)) = dones.pop_front() {
                     let Some(oa) = agents.get_mut(&site) else { continue };
                     let oc = {
-                        let mut dns = dns.lock();
+                        let mut dns = lock(&dns);
                         oa.complete_read(d, &mut dns, now)
                     };
                     route(site, oc.out);

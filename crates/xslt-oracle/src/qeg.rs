@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use irisnet_core::fragment::SiteDatabase;
@@ -23,7 +24,6 @@ use irisnet_core::qeg::{
     too_deep, Ask, AskKind, DistStep, PassEngine, QegPass, QueryPlan, StepKind,
 };
 use irisnet_core::{CoreError, CoreResult, IdPath};
-use parking_lot::Mutex;
 use sensorxml::Document;
 use sensorxpath::{Expr, NodeTest};
 use sensorxslt::{
@@ -323,9 +323,15 @@ impl XsltQeg {
         self.skeleton_evictions.load(Ordering::Relaxed)
     }
 
+    /// Locks the skeleton cache. Poison is tolerated: a worker that
+    /// panicked mid-lookup left a cache of whole entries.
+    fn skeletons(&self) -> MutexGuard<'_, SkeletonCache> {
+        self.skeletons.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Distinct shapes currently cached (≤ [`SKELETON_CACHE_CAP`]).
     pub fn skeleton_cache_len(&self) -> usize {
-        self.skeletons.lock().map.len()
+        self.skeletons().map.len()
     }
 
     /// Builds the XSLT QEG program for a plan.
@@ -358,7 +364,7 @@ impl XsltQeg {
             Creation::Fast => {
                 let key = ShapeKey::of(plan, ignore_complete);
                 let hit = {
-                    let mut cache = self.skeletons.lock();
+                    let mut cache = self.skeletons();
                     let stamp = cache.touch();
                     cache.map.get_mut(&key).map(|entry| {
                         entry.last_used = stamp;
@@ -377,7 +383,7 @@ impl XsltQeg {
                 let (sheet, slots, start_mode) = generate_stylesheet(plan, ignore_complete);
                 let compiled = compile(sheet).map_err(core_error)?;
                 let evicted = {
-                    let mut cache = self.skeletons.lock();
+                    let mut cache = self.skeletons();
                     let stamp = cache.touch();
                     cache.map.insert(
                         key,

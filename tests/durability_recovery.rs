@@ -17,75 +17,38 @@
 //! * **Ablation** — durability on vs off is invisible to answers while
 //!   the site is up: byte-identical replies.
 
-use std::sync::Arc;
-use std::time::Duration;
+#[path = "support/cluster.rs"]
+mod cluster;
 
+use std::sync::Arc;
+
+use cluster::{boot, canon, carve, carved, parking_db, sharded, Runtime, DES};
 use irisdns::SiteAddr;
-use irisnet_bench::{DbParams, ParkingDb};
+use irisnet_bench::ParkingDb;
 use irisnet_core::{
-    CacheMode, DurabilityConfig, Endpoint, FileBackend, IdPath, MemoryBackend, Message,
-    OaConfig, OrganizingAgent, RecoveryStats, RetryPolicy, SiteStore, Status,
-    StorageBackend,
+    CacheMode, DurabilityConfig, FileBackend, IdPath, MemoryBackend, Message, OaConfig,
+    OrganizingAgent, RecoveryStats, RetryPolicy, SiteStore, StorageBackend,
 };
-use simnet::{
-    CostModel, DesCluster, FaultPlan, ShardConfig, ShardedCluster, UnclaimedReply,
-};
+use simnet::{FaultPlan, Reply, Target};
 
 const Q_BOTH: &str = "/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']\
     /city[@id='Pittsburgh']/neighborhood[@id='n1' or @id='n2']/block[@id='1']/parkingSpace";
 
-fn params() -> DbParams {
-    DbParams {
-        cities: 1,
-        neighborhoods_per_city: 2,
-        blocks_per_neighborhood: 2,
-        spaces_per_block: 2,
-    }
-}
-
-fn config() -> OaConfig {
+/// Caching off, two resends per ask: in virtual time on the DES, and in
+/// real time (so partial answers arrive fast) on the sharded runtime.
+fn config(rt: Runtime) -> OaConfig {
+    let base = if rt == DES { 0.5 } else { 0.05 };
     OaConfig {
         cache: CacheMode::Off,
-        retry: RetryPolicy::bounded(0.5, 2),
+        retry: RetryPolicy::bounded(base, 2),
         ..OaConfig::default()
     }
-}
-
-/// Threaded-runtime config: real-time retries, so partial answers arrive fast.
-fn threaded_config() -> OaConfig {
-    OaConfig {
-        cache: CacheMode::Off,
-        retry: RetryPolicy::bounded(0.05, 2),
-        ..OaConfig::default()
-    }
-}
-
-fn canon(xml: &str) -> String {
-    let doc = sensorxml::parse(xml).expect("answer parses");
-    sensorxml::canonical_string(&doc, doc.root().unwrap())
-}
-
-/// Site 1 owns the region with the carved neighborhood demoted + evicted;
-/// site 2 owns the carved neighborhood (the standard two-site carve).
-fn carve(
-    db: &ParkingDb,
-    carved: &IdPath,
-    cfg: OaConfig,
-) -> (OrganizingAgent, OrganizingAgent) {
-    let svc = db.service.clone();
-    let oa1 = OrganizingAgent::new(SiteAddr(1), svc.clone(), cfg.clone());
-    oa1.db_mut().bootstrap_owned(&db.master, &db.root_path(), true).unwrap();
-    oa1.db_mut().set_status_subtree(carved, Status::Complete).unwrap();
-    oa1.db_mut().evict(carved).unwrap();
-    let oa2 = OrganizingAgent::new(SiteAddr(2), svc, cfg);
-    oa2.db_mut().bootstrap_owned(&db.master, carved, true).unwrap();
-    (oa1, oa2)
 }
 
 /// A space under the carved neighborhood whose value we update mid-run:
 /// recovering it proves the WAL *tail* replays, not just the snapshot.
 fn carved_space(db: &ParkingDb) -> IdPath {
-    db.neighborhood_path(0, 1).child("block", "1").child("parkingSpace", "1")
+    carved(db).child("block", "1").child("parkingSpace", "1")
 }
 
 fn update_msg(path: &IdPath) -> Message {
@@ -97,99 +60,115 @@ fn update_msg(path: &IdPath) -> Message {
 
 /// Opens (or re-opens) a store over `backend` and attaches it to the
 /// agent, returning the recovery stats.
-fn attach_backend(
-    oa: &mut OrganizingAgent,
+fn attach_backend(oa: &mut OrganizingAgent, backend: Box<dyn StorageBackend>) -> RecoveryStats {
+    let (store, recovered) = SiteStore::open(backend, DurabilityConfig::default()).unwrap();
+    oa.attach_durability(store, recovered, 0.0).unwrap()
+}
+
+/// The crash/restart scenario on `rt`: site 2 logs to `backend`, an
+/// update lands in its WAL tail (after the attach snapshot) and a query
+/// is answered; site 2 then crashes with amnesia — the agent and its
+/// in-memory database are gone, only the backend survives — and the same
+/// query is posed again; `restart` builds the replacement, which the
+/// query meets last. Returns the pre-crash, during-crash and
+/// post-restart replies.
+fn crash_restart(
+    rt: Runtime,
     backend: Box<dyn StorageBackend>,
-    now: f64,
-) -> RecoveryStats {
-    let (store, recovered) =
-        SiteStore::open(backend, DurabilityConfig::default()).unwrap();
-    oa.attach_durability(store, recovered, now).unwrap()
+    restart: impl FnOnce(&ParkingDb) -> OrganizingAgent,
+) -> [Reply; 3] {
+    let db = parking_db(2);
+    let [oa1, mut oa2] = carve(&db, config(rt), config(rt));
+    let stats = attach_backend(&mut oa2, backend);
+    assert_eq!(stats, RecoveryStats::default(), "fresh backend had state");
+    let mut cluster = boot(rt, &db, [oa1, oa2], None);
+    cluster.set_fault_plan(FaultPlan::reliable());
+
+    cluster.send(SiteAddr(2), update_msg(&carved_space(&db)));
+    let q = [Q_BOTH.to_string()];
+    let pre = cluster.pose_each(Target::Routed, &q).remove(0);
+    drop(cluster.stop_site(SiteAddr(2)).expect("site 2 running"));
+    let during = cluster.pose_each(Target::Routed, &q).remove(0);
+    cluster.restart_site(restart(&db));
+    let post = cluster.pose_each(Target::Routed, &q).remove(0);
+    cluster.finish();
+    [pre, during, post]
+}
+
+/// A replacement site 2 recovered from `backend`: the snapshot plus the
+/// WAL tail replay, and the recovered database is a valid fragment of the
+/// master.
+fn recovered(db: &ParkingDb, rt: Runtime, backend: Box<dyn StorageBackend>) -> OrganizingAgent {
+    let mut oa2 = OrganizingAgent::new(SiteAddr(2), db.service.clone(), config(rt));
+    let stats = attach_backend(&mut oa2, backend);
+    assert!(stats.snapshot_loaded, "{rt:?}: no snapshot recovered");
+    assert!(stats.records_replayed >= 1, "{rt:?}: WAL tail not replayed");
+    assert_eq!(stats.torn_bytes, 0);
+    oa2.db()
+        .check_invariants(&db.master)
+        .expect("recovered invariants");
+    oa2
+}
+
+/// Pre-crash exact with the update, during-crash degraded, post-restart
+/// healed: exact again and byte-identical to pre-crash — including the
+/// update that only ever existed in the WAL tail.
+fn assert_heals(rt: Runtime, [pre, during, post]: &[Reply; 3]) {
+    assert!(
+        pre.ok && !pre.partial,
+        "{rt:?} pre-crash: {}",
+        pre.answer_xml
+    );
+    assert!(
+        pre.answer_xml.contains("77"),
+        "{rt:?}: update not applied: {}",
+        pre.answer_xml
+    );
+    assert!(
+        during.ok && during.partial,
+        "{rt:?}: crash not visible: {}",
+        during.answer_xml
+    );
+    assert!(
+        post.ok && !post.partial,
+        "{rt:?}: did not heal: {}",
+        post.answer_xml
+    );
+    assert_eq!(canon(&post.answer_xml), canon(&pre.answer_xml));
+}
+
+/// The same topology and update with site 2 never crashing, two queries
+/// at site 1; returns the replies and the WAL appends if both sites log
+/// (`durable`).
+fn uncrashed(durable: bool) -> (Vec<Reply>, u64) {
+    let db = parking_db(2);
+    let [mut oa1, mut oa2] = carve(&db, config(DES), config(DES));
+    let mut wals = Vec::new();
+    if durable {
+        for oa in [&mut oa1, &mut oa2] {
+            attach_backend(oa, Box::new(MemoryBackend::new()));
+            wals.push(oa.wal().expect("wal attached"));
+        }
+    }
+    let mut cluster = boot(DES, &db, [oa1, oa2], None);
+    cluster.send(SiteAddr(2), update_msg(&carved_space(&db)));
+    let replies = cluster.pose_each(Target::Site(SiteAddr(1)), &[Q_BOTH.into(), Q_BOTH.into()]);
+    cluster.finish();
+    (replies, wals.iter().map(|w| w.appends()).sum())
 }
 
 // ---------------------------------------------------------------------
 // DES: deterministic crash/restart + the restart-empty ablation
 // ---------------------------------------------------------------------
 
-/// Runs the DES crash/restart scenario over `backend`. `restart` builds
-/// the replacement agent at virtual time 150 (recovered from the backend,
-/// or empty for the ablation). Returns the three replies in schedule
-/// order: pre-crash, during-crash, post-restart.
-fn des_crash_restart(
-    backend: Arc<MemoryBackend>,
-    restart: impl FnOnce(&ParkingDb) -> OrganizingAgent,
-) -> (UnclaimedReply, UnclaimedReply, UnclaimedReply) {
-    let db = ParkingDb::generate(params(), 42);
-    let carved = db.neighborhood_path(0, 1);
-    let svc = db.service.clone();
-
-    let mut sim = DesCluster::new(CostModel::default());
-    let (oa1, mut oa2) = carve(&db, &carved, config());
-    let stats = attach_backend(&mut oa2, Box::new(backend), 0.0);
-    assert_eq!(stats, RecoveryStats::default(), "fresh backend had state");
-    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
-    svc.register_owner(&mut sim.dns, &carved, SiteAddr(2));
-    sim.add_site(oa1);
-    sim.add_site(oa2);
-    sim.set_fault_plan(FaultPlan::reliable());
-
-    let pose = |sim: &mut DesCluster, at: f64, ep: u64| {
-        sim.schedule_message(
-            at,
-            SiteAddr(1),
-            Message::UserQuery { qid: ep, text: Q_BOTH.to_string(), endpoint: Endpoint(ep) },
-        );
-    };
-
-    // Mid-run update lands in the WAL tail (after the attach snapshot).
-    sim.schedule_message(5.0, SiteAddr(2), update_msg(&carved_space(&db)));
-    pose(&mut sim, 10.0, 1);
-    sim.run_until(50.0);
-
-    // Crash with amnesia: the agent (and its in-memory database) is gone;
-    // only the durable backend survives.
-    drop(sim.remove_site(SiteAddr(2)).expect("site 2 present"));
-    pose(&mut sim, 60.0, 2);
-    sim.run_until(150.0);
-
-    // Restart the replacement under test.
-    sim.restart_site(restart(&db));
-    pose(&mut sim, 200.0, 3);
-    sim.run_until(400.0);
-
-    let mut replies = sim.take_unclaimed_detailed();
-    replies.sort_by_key(|r| r.endpoint.0);
-    assert_eq!(replies.len(), 3, "a query hung instead of completing");
-    let mut it = replies.into_iter();
-    (it.next().unwrap(), it.next().unwrap(), it.next().unwrap())
-}
-
 #[test]
 fn des_crash_restart_replays_snapshot_plus_wal_tail() {
     let backend = Arc::new(MemoryBackend::new());
     let b = backend.clone();
-    let (pre, during, post) = des_crash_restart(backend, move |db| {
-        let mut oa2 = OrganizingAgent::new(SiteAddr(2), db.service.clone(), config());
-        let stats = attach_backend(&mut oa2, Box::new(b), 150.0);
-        assert!(stats.snapshot_loaded, "no snapshot recovered");
-        assert!(stats.records_replayed >= 1, "WAL tail not replayed");
-        assert_eq!(stats.torn_bytes, 0);
-        // The recovered database is a valid fragment of the master.
-        oa2.db().check_invariants(&db.master).expect("recovered invariants");
-        oa2
+    let replies = crash_restart(DES, Box::new(backend), move |db| {
+        recovered(db, DES, Box::new(b))
     });
-
-    assert!(pre.ok && !pre.partial, "pre-crash query not exact");
-    assert!(
-        pre.answer_xml.contains("77"),
-        "pre-crash answer missing the update: {}",
-        pre.answer_xml
-    );
-    assert!(during.ok && during.partial, "during-crash query should degrade");
-    // Healed: exact again, byte-identical to pre-crash — including the
-    // update that only ever existed in the WAL tail.
-    assert!(post.ok && !post.partial, "post-restart query did not heal");
-    assert_eq!(canon(&post.answer_xml), canon(&pre.answer_xml));
+    assert_heals(DES, &replies);
 }
 
 /// Ablation: an empty replacement (restart-with-amnesia) does NOT heal —
@@ -198,8 +177,8 @@ fn des_crash_restart_replays_snapshot_plus_wal_tail() {
 #[test]
 fn des_restart_empty_does_not_heal() {
     let backend = Arc::new(MemoryBackend::new());
-    let (pre, during, post) = des_crash_restart(backend, |db| {
-        OrganizingAgent::new(SiteAddr(2), db.service.clone(), config())
+    let [pre, during, post] = crash_restart(DES, Box::new(backend), |db| {
+        OrganizingAgent::new(SiteAddr(2), db.service.clone(), config(DES))
     });
     assert!(pre.ok && !pre.partial);
     assert!(during.partial);
@@ -215,40 +194,8 @@ fn des_restart_empty_does_not_heal() {
 /// the mutation traffic.
 #[test]
 fn durability_on_vs_off_answers_identical() {
-    let run = |durable: bool| -> (Vec<UnclaimedReply>, u64) {
-        let db = ParkingDb::generate(params(), 42);
-        let carved = db.neighborhood_path(0, 1);
-        let svc = db.service.clone();
-        let mut sim = DesCluster::new(CostModel::default());
-        let (mut oa1, mut oa2) = carve(&db, &carved, config());
-        let mut wals = Vec::new();
-        if durable {
-            for oa in [&mut oa1, &mut oa2] {
-                attach_backend(oa, Box::new(MemoryBackend::new()), 0.0);
-                wals.push(oa.wal().expect("wal attached"));
-            }
-        }
-        svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
-        svc.register_owner(&mut sim.dns, &carved, SiteAddr(2));
-        sim.add_site(oa1);
-        sim.add_site(oa2);
-        sim.schedule_message(5.0, SiteAddr(2), update_msg(&carved_space(&db)));
-        for (at, ep) in [(10.0, 1u64), (20.0, 2u64)] {
-            sim.schedule_message(
-                at,
-                SiteAddr(1),
-                Message::UserQuery { qid: ep, text: Q_BOTH.into(), endpoint: Endpoint(ep) },
-            );
-        }
-        sim.run_until(100.0);
-        let mut replies = sim.take_unclaimed_detailed();
-        replies.sort_by_key(|r| r.endpoint.0);
-        let appends = wals.iter().map(|w| w.appends()).sum();
-        (replies, appends)
-    };
-
-    let (with, appends) = run(true);
-    let (without, _) = run(false);
+    let (with, appends) = uncrashed(true);
+    let (without, _) = uncrashed(false);
     assert_eq!(with.len(), 2);
     assert_eq!(without.len(), 2);
     for (a, b) in with.iter().zip(&without) {
@@ -269,76 +216,24 @@ fn durability_on_vs_off_answers_identical() {
 
 #[test]
 fn sharded_crash_restart_heals() {
-    let db = ParkingDb::generate(params(), 42);
-    let carved = db.neighborhood_path(0, 1);
-    let svc = db.service.clone();
+    let rt = sharded(2, 1, true);
     let dir = std::env::temp_dir().join(format!(
         "iris-durability-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-
-    let mut cluster = ShardedCluster::with_config(
-        svc.clone(),
-        ShardConfig { shards: 2, workers_per_shard: 1, force_wire: true },
-    );
-    let (oa1, mut oa2) = carve(&db, &carved, threaded_config());
-    let stats = attach_backend(&mut oa2, Box::new(FileBackend::new(&dir).unwrap()), 0.0);
-    assert_eq!(stats, RecoveryStats::default());
-    cluster.register_owner(&db.root_path(), SiteAddr(1));
-    cluster.register_owner(&carved, SiteAddr(2));
-    cluster.add_site(oa1);
-    cluster.add_site(oa2);
-    cluster.start();
-
-    // Mid-run update: in site 2's shard mailbox (hence applied and
-    // WAL-logged) before the query's subquery arrives.
-    cluster.send(SiteAddr(2), update_msg(&carved_space(&db)));
-    let timeout = Duration::from_secs(30);
-    let mut c = cluster.client();
-    let pre = c.pose_query(Q_BOTH, timeout).expect("pre-crash reply");
-    assert!(pre.ok && !pre.partial, "pre-crash: {}", pre.answer_xml);
-    assert!(pre.answer_xml.contains("77"), "update not applied: {}", pre.answer_xml);
-
-    // Detach the site and drop the agent: only the files survive.
-    drop(cluster.stop_site(SiteAddr(2)).expect("site 2 running"));
-    let during = c.pose_query(Q_BOTH, timeout).expect("during-crash reply");
-    assert!(during.partial, "crash not visible: {}", during.answer_xml);
-
-    // Restart from disk: snapshot + WAL tail.
-    let mut oa2b = OrganizingAgent::new(SiteAddr(2), svc.clone(), threaded_config());
-    let stats = attach_backend(&mut oa2b, Box::new(FileBackend::new(&dir).unwrap()), 0.0);
-    assert!(stats.snapshot_loaded, "no snapshot on disk");
-    assert!(stats.records_replayed >= 1, "WAL tail not replayed from disk");
-    oa2b.db().check_invariants(&db.master).expect("recovered invariants");
-    cluster.restart_site(oa2b);
-
-    let post = c.pose_query(Q_BOTH, timeout).expect("post-restart reply");
-    assert!(post.ok && !post.partial, "did not heal: {}", post.answer_xml);
-    assert_eq!(canon(&post.answer_xml), canon(&pre.answer_xml));
-    cluster.shutdown();
+    let files = || Box::new(FileBackend::new(&dir).unwrap());
+    let replies = crash_restart(rt, files(), |db| recovered(db, rt, files()));
     let _ = std::fs::remove_dir_all(&dir);
+    assert_heals(rt, &replies);
 
     // DES oracle: the same topology and update, no crash — the healed
     // answer must be byte-identical to the virtual-time answer.
-    let mut sim = DesCluster::new(CostModel::default());
-    let (oa1, oa2) = carve(&db, &carved, config());
-    svc.register_owner(&mut sim.dns, &db.root_path(), SiteAddr(1));
-    svc.register_owner(&mut sim.dns, &carved, SiteAddr(2));
-    sim.add_site(oa1);
-    sim.add_site(oa2);
-    sim.schedule_message(5.0, SiteAddr(2), update_msg(&carved_space(&db)));
-    sim.schedule_message(
-        10.0,
-        SiteAddr(1),
-        Message::UserQuery { qid: 1, text: Q_BOTH.into(), endpoint: Endpoint(1) },
-    );
-    sim.run_until(100.0);
-    let oracle = sim.take_unclaimed_detailed().pop().expect("oracle reply");
+    let oracle = uncrashed(false).0.remove(0);
     assert!(oracle.ok && !oracle.partial);
     assert_eq!(
-        canon(&post.answer_xml),
+        canon(&replies[2].answer_xml),
         canon(&oracle.answer_xml),
         "recovered answer diverged from the DES oracle"
     );

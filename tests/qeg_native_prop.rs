@@ -23,13 +23,10 @@ use irisnet_bench::{build_cluster, Arch, DbParams, ParkingDb, Workload};
 use std::sync::Arc;
 
 use irisnet_core::qeg::{plan_query, Ask, QueryPlan};
-use irisnet_core::{
-    CacheMode, CoreResult, Endpoint, IdPath, Message, NativeWalk, OaConfig, PassEngine,
-    SiteDatabase,
-};
+use irisnet_core::{CacheMode, CoreResult, IdPath, NativeWalk, OaConfig, PassEngine, SiteDatabase};
 use irisnet_xslt_oracle::{Creation, XsltQeg};
 use irisobs::{check_well_formed, structure_digest, MemRecorder};
-use simnet::CostModel;
+use simnet::{Cluster, CostModel, Target};
 
 #[path = "support/query_shapes.rs"]
 mod query_shapes;
@@ -279,10 +276,10 @@ fn smallish() -> DbParams {
     }
 }
 
-/// Runs the `distributed_correctness` hierarchical scenario (caching on,
-/// one query at a time to quiescence) and returns each query's canonical
-/// answer and trace digest.
-fn des_run(engine: Arc<dyn PassEngine>) -> Vec<(String, String)> {
+/// Runs the `distributed_correctness` hierarchical scenario on the DES
+/// (caching on, queries routed one at a time, each settled before the
+/// next) and returns each query's canonical answer and trace digest.
+fn traced_answers(engine: Arc<dyn PassEngine>) -> Vec<(String, String)> {
     let db = ParkingDb::generate(smallish(), 1);
     let cfg = OaConfig {
         engine,
@@ -293,27 +290,16 @@ fn des_run(engine: Arc<dyn PassEngine>) -> Vec<(String, String)> {
     let rec = MemRecorder::new();
     built.sim.set_recorder(rec.clone());
     let mut w = Workload::qw_mix(&db, 2);
-    let mut answers = Vec::new();
-    for k in 0..24u64 {
-        let q = w.next_query();
-        let service = built.sim.site(built.sites[0]).unwrap().service.clone();
-        let (_, _, name) = irisnet_core::routing::route_query(&q, &service).unwrap();
-        let entry = built.sim.dns.lookup(&name).map(|a| a.addr).unwrap();
-        let start = built.sim.now();
-        built.sim.schedule_message(
-            start,
-            entry,
-            Message::UserQuery {
-                qid: k + 1,
-                text: q,
-                endpoint: Endpoint(9000 + k),
-            },
-        );
-        built.sim.run_until(start + 1_000.0);
-        let xml = built.sim.take_unclaimed_replies().pop().expect("a reply");
-        let doc = sensorxml::parse(&xml).unwrap();
-        answers.push(sensorxml::canonical_string(&doc, doc.root().unwrap()));
-    }
+    let queries: Vec<String> = (0..24).map(|_| w.next_query()).collect();
+    let answers: Vec<String> = built
+        .sim
+        .pose_each(Target::Routed, &queries)
+        .iter()
+        .map(|r| {
+            let doc = sensorxml::parse(&r.answer_xml).expect("a reply");
+            sensorxml::canonical_string(&doc, doc.root().unwrap())
+        })
+        .collect();
     let forest = check_well_formed(&rec.take_spans()).expect("well-formed trace forest");
     assert_eq!(forest.queries.len(), answers.len());
     answers
@@ -324,7 +310,7 @@ fn des_run(engine: Arc<dyn PassEngine>) -> Vec<(String, String)> {
 
 #[test]
 fn des_answers_and_traces_identical_under_every_engine() {
-    let native = des_run(Arc::new(NativeWalk));
+    let native = traced_answers(Arc::new(NativeWalk));
     // The scenario must actually gather and cache, or it proves little.
     assert!(
         native.iter().any(|(_, d)| d.contains("sub-query")),
@@ -332,7 +318,7 @@ fn des_answers_and_traces_identical_under_every_engine() {
     );
     for creation in [Creation::Fast, Creation::Naive] {
         let engine = Arc::new(XsltQeg::new(creation));
-        let other = des_run(engine.clone());
+        let other = traced_answers(engine.clone());
         assert!(engine.created() > 0, "{creation:?} never ran");
         for (i, (n, o)) in native.iter().zip(&other).enumerate() {
             assert_eq!(n.0, o.0, "query {i}: answers differ under {creation:?}");
