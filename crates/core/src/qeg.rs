@@ -48,7 +48,7 @@ use sensorxpath::analysis::{
     classify_conjunct, split_step_predicates, ConjunctClass, SplitPredicates,
 };
 use sensorxpath::eval::apply_step;
-use sensorxpath::{Axis, BinOp, Expr, LocationPath, NodeTest, Step, Value, XNode};
+use sensorxpath::{Axis, BinOp, Expr, LocationPath, Name, NodeTest, Step, Value, XNode};
 
 use crate::error::{CoreError, CoreResult};
 use crate::fragment::SiteDatabase;
@@ -61,7 +61,7 @@ mod exec;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StepKind {
     /// `child::tag` over an IDable tag.
-    Tag(String),
+    Tag(Name),
     /// `child::*` (IDable children of any tag).
     Wildcard,
     /// The `//` marker: search IDable descendants for the next step.
@@ -98,7 +98,7 @@ pub enum StepTest {
     /// No conjuncts: `true()`.
     True,
     /// Exactly `@id = 'literal'`: one attribute comparison, no evaluator.
-    IdEquals(String),
+    IdEquals(Name),
     /// Anything else: the optimized conjunction, for the XPath evaluator.
     Expr(Expr),
 }
@@ -107,8 +107,8 @@ impl StepTest {
     fn of(preds: &[Expr]) -> StepTest {
         match preds {
             [] => StepTest::True,
-            [one] => match one.as_id_equals() {
-                Some(id) => StepTest::IdEquals(id.to_string()),
+            [one] => match one.id_equals_literal() {
+                Some(id) => StepTest::IdEquals(id.clone()),
                 None => StepTest::Expr(sensorxpath::optimize(one)),
             },
             many => StepTest::Expr(sensorxpath::optimize(&Expr::conjunction(many.to_vec()))),
@@ -121,10 +121,10 @@ impl DistStep {
         let SplitPredicates { id, consistency, rest, clean } =
             split_step_predicates(step, ts_field);
         let pid_test = StepTest::of(if clean { &id } else { &[] });
-        let full_test = if rest.is_empty() {
-            StepTest::of(&id)
-        } else {
-            StepTest::of(&[id.as_slice(), rest.as_slice()].concat())
+        let full_test = match (id.is_empty(), rest.is_empty()) {
+            (_, true) => StepTest::of(&id),
+            (true, false) => StepTest::of(&rest),
+            (false, false) => StepTest::of(&[id.as_slice(), rest.as_slice()].concat()),
         };
         let pcons_test = (!consistency.is_empty()).then(|| StepTest::of(&consistency));
         DistStep {
@@ -185,7 +185,7 @@ pub fn plan_query(expr: &Expr, service: &Service) -> CoreResult<QueryPlan> {
     let schema = &service.schema;
     let ts_field = &service.timestamp_field;
 
-    let mut dist_steps: Vec<DistStep> = Vec::new();
+    let mut dist_steps: Vec<DistStep> = Vec::with_capacity(path.steps.len());
     let mut consumed = 0usize;
     for step in &path.steps {
         let kind = if step.is_abbrev_descendant() {
@@ -541,20 +541,20 @@ pub fn strip_consistency(expr: &Expr, ts_field: &str) -> Expr {
         Expr::Path(p) => Expr::Path(strip_path(p, ts_field)),
         Expr::Binary(op, l, r) => Expr::Binary(
             *op,
-            Box::new(strip_consistency(l, ts_field)),
-            Box::new(strip_consistency(r, ts_field)),
+            Arc::new(strip_consistency(l, ts_field)),
+            Arc::new(strip_consistency(r, ts_field)),
         ),
         Expr::Union(l, r) => Expr::Union(
-            Box::new(strip_consistency(l, ts_field)),
-            Box::new(strip_consistency(r, ts_field)),
+            Arc::new(strip_consistency(l, ts_field)),
+            Arc::new(strip_consistency(r, ts_field)),
         ),
-        Expr::Negate(e) => Expr::Negate(Box::new(strip_consistency(e, ts_field))),
+        Expr::Negate(e) => Expr::Negate(Arc::new(strip_consistency(e, ts_field))),
         Expr::Call(n, args) => Expr::Call(
             n.clone(),
             args.iter().map(|a| strip_consistency(a, ts_field)).collect(),
         ),
         Expr::Filter { primary, predicates, trailing } => Expr::Filter {
-            primary: Box::new(strip_consistency(primary, ts_field)),
+            primary: Arc::new(strip_consistency(primary, ts_field)),
             predicates: strip_pred_list(predicates, ts_field),
             trailing: trailing.iter().map(|s| strip_step(s, ts_field)).collect(),
         },

@@ -138,7 +138,12 @@ impl Service {
     /// queries that pin no id prefix (`//parkingSpace[...]`) route.
     pub fn dns_name(&self, path: &IdPath) -> DnsName {
         let ids: Vec<&str> = path.segments().iter().map(|(_, id)| id.as_str()).collect();
-        DnsName::from_id_path(&ids, &self.dns_suffix)
+        self.dns_name_of_ids(&ids)
+    }
+
+    /// [`Service::dns_name`] of the path with these ids, root first.
+    pub fn dns_name_of_ids(&self, ids: &[&str]) -> DnsName {
+        DnsName::from_id_path(ids, &self.dns_suffix)
     }
 
     /// Registers `addr` as the owner of `path` in `dns`, visible at once.

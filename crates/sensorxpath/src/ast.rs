@@ -4,8 +4,16 @@
 //! distributed query layer uses this to print subqueries shipped to other
 //! sites, so `parse(expr.to_string())` must round-trip (checked by property
 //! tests in the parser module).
+//!
+//! Subexpressions are reference-counted (`Arc<Expr>`) and names are inline
+//! [`Name`]s, so a clone shares the subexpressions below an operator
+//! instead of copying them: a query plan and its predicate splits share
+//! the parsed tree.
 
 use std::fmt;
+use std::sync::Arc;
+
+pub use crate::name::Name;
 
 /// Binary operators, in increasing precedence groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +100,7 @@ impl Axis {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeTest {
     /// A name test (`block`, or attribute name after `@`).
-    Name(String),
+    Name(Name),
     /// The `*` wildcard.
     Any,
     /// `text()`
@@ -128,7 +136,7 @@ pub struct Step {
     /// subqueries round-trip), and is ignored by `PartialEq`. Set by the
     /// optimizer and by the id-path constructors; recompute with
     /// [`Step::compute_indexed_id`] after editing `predicates`.
-    pub indexed_id: Option<String>,
+    pub indexed_id: Option<Name>,
 }
 
 /// Equality ignores the `indexed_id` execution hint: an optimized step and
@@ -142,8 +150,18 @@ impl PartialEq for Step {
 }
 
 impl Step {
+    /// An `axis::test` step with no predicates.
+    pub fn bare(axis: Axis, test: NodeTest) -> Self {
+        Step { axis, test, predicates: Vec::new(), indexed_id: None }
+    }
+
+    /// The `descendant-or-self::node()` step that encodes `//`.
+    pub fn descendant_or_self() -> Self {
+        Step::bare(Axis::DescendantOrSelf, NodeTest::Node)
+    }
+
     /// A plain `child::name` step with no predicates.
-    pub fn child(name: impl Into<String>) -> Self {
+    pub fn child(name: impl Into<Name>) -> Self {
         Step {
             axis: Axis::Child,
             test: NodeTest::Name(name.into()),
@@ -153,7 +171,7 @@ impl Step {
     }
 
     /// A `child::name[@id='id']` step, pre-marked for indexed evaluation.
-    pub fn child_with_id(name: impl Into<String>, id: impl Into<String>) -> Self {
+    pub fn child_with_id(name: impl Into<Name>, id: impl Into<Name>) -> Self {
         let id = id.into();
         Step {
             axis: Axis::Child,
@@ -166,14 +184,11 @@ impl Step {
     /// The `indexed_id` hint this step's shape supports: `Some(literal)`
     /// iff the axis is `child`, the test is a name test, and the first
     /// predicate is exactly `@id = 'literal'`.
-    pub fn compute_indexed_id(&self) -> Option<String> {
+    pub fn compute_indexed_id(&self) -> Option<Name> {
         if self.axis != Axis::Child || !matches!(self.test, NodeTest::Name(_)) {
             return None;
         }
-        self.predicates
-            .first()
-            .and_then(|p| p.as_id_equals())
-            .map(str::to_string)
+        self.predicates.first().and_then(Expr::id_equals_literal).cloned()
     }
 
     /// True for the `descendant-or-self::node()` step that encodes `//`.
@@ -270,37 +285,37 @@ impl fmt::Display for LocationPath {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Binary operation.
-    Binary(BinOp, Box<Expr>, Box<Expr>),
+    Binary(BinOp, Arc<Expr>, Arc<Expr>),
     /// Unary minus.
-    Negate(Box<Expr>),
+    Negate(Arc<Expr>),
     /// Node-set union `a | b`.
-    Union(Box<Expr>, Box<Expr>),
+    Union(Arc<Expr>, Arc<Expr>),
     /// A location path.
     Path(LocationPath),
     /// A filter expression: a primary expression with predicates and an
     /// optional trailing relative path, e.g. `$v[...]/a/b` or `(...)/c`.
     Filter {
-        primary: Box<Expr>,
+        primary: Arc<Expr>,
         predicates: Vec<Expr>,
         /// Steps applied to the filtered node-set (empty if none).
         trailing: Vec<Step>,
     },
     /// String literal.
-    Literal(String),
+    Literal(Name),
     /// Numeric literal.
     Number(f64),
     /// Function call.
-    Call(String, Vec<Expr>),
+    Call(Name, Vec<Expr>),
     /// Variable reference `$name`.
-    Var(String),
+    Var(Name),
 }
 
 impl Expr {
     /// Builds the ubiquitous `@id='value'` predicate.
-    pub fn id_equals(id: impl Into<String>) -> Expr {
+    pub fn id_equals(id: impl Into<Name>) -> Expr {
         Expr::Binary(
             BinOp::Eq,
-            Box::new(Expr::Path(LocationPath {
+            Arc::new(Expr::Path(LocationPath {
                 absolute: false,
                 steps: vec![Step {
                     axis: Axis::Attribute,
@@ -309,13 +324,18 @@ impl Expr {
                     indexed_id: None,
                 }],
             })),
-            Box::new(Expr::Literal(id.into())),
+            Arc::new(Expr::Literal(id.into())),
         )
     }
 
     /// If this expression is exactly `@id = 'literal'` (either operand
     /// order), returns the literal.
     pub fn as_id_equals(&self) -> Option<&str> {
+        self.id_equals_literal().map(Name::as_str)
+    }
+
+    /// [`Expr::as_id_equals`], returning the literal's [`Name`].
+    pub fn id_equals_literal(&self) -> Option<&Name> {
         let Expr::Binary(BinOp::Eq, l, r) = self else {
             return None;
         };
@@ -323,7 +343,7 @@ impl Expr {
             matches!(e, Expr::Path(LocationPath { absolute: false, steps })
                 if steps.len() == 1
                     && steps[0].axis == Axis::Attribute
-                    && steps[0].test == NodeTest::Name("id".into())
+                    && matches!(&steps[0].test, NodeTest::Name(n) if n == "id")
                     && steps[0].predicates.is_empty())
         };
         match (&**l, &**r) {
@@ -342,7 +362,7 @@ impl Expr {
                 let mut it = preds.into_iter();
                 let first = it.next().expect("len checked");
                 it.fold(first, |acc, p| {
-                    Expr::Binary(BinOp::And, Box::new(acc), Box::new(p))
+                    Expr::Binary(BinOp::And, Arc::new(acc), Arc::new(p))
                 })
             }
         }
@@ -457,7 +477,7 @@ mod tests {
     fn as_id_equals_rejects_other_attrs() {
         let e = Expr::Binary(
             BinOp::Eq,
-            Box::new(Expr::Path(LocationPath {
+            Arc::new(Expr::Path(LocationPath {
                 absolute: false,
                 steps: vec![Step {
                     axis: Axis::Attribute,
@@ -466,7 +486,7 @@ mod tests {
                     indexed_id: None,
                 }],
             })),
-            Box::new(Expr::Literal("0".into())),
+            Arc::new(Expr::Literal("0".into())),
         );
         assert_eq!(e.as_id_equals(), None);
     }

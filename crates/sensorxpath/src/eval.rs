@@ -48,13 +48,13 @@ impl<'a> EvalContext<'a> {
 /// Evaluates `expr` in `ctx`.
 pub fn evaluate(expr: &Expr, ctx: &EvalContext<'_>) -> XPathResult<Value> {
     match expr {
-        Expr::Literal(s) => Ok(Value::Str(s.clone())),
+        Expr::Literal(s) => Ok(Value::Str(s.to_string())),
         Expr::Number(n) => Ok(Value::Num(*n)),
         Expr::Var(name) => ctx
             .vars
-            .get(name)
+            .get(name.as_str())
             .cloned()
-            .ok_or_else(|| XPathError::UnboundVariable(name.clone())),
+            .ok_or_else(|| XPathError::UnboundVariable(name.to_string())),
         Expr::Negate(e) => {
             let v = evaluate(e, ctx)?;
             Ok(Value::Num(-v.number(ctx.doc)))

@@ -1,19 +1,22 @@
 //! The XPath tokenizer, including the XPath 1.0 lexical disambiguation rule
 //! (whether `*` is a wildcard or multiplication, and whether `and`/`or`/
 //! `div`/`mod` are operators, depends on the preceding token).
+//!
+//! Tokens borrow their names and literals from the input, and [`Lexer`]
+//! produces them one at a time, so lexing allocates nothing.
 
 use crate::error::{XPathError, XPathResult};
 
 /// A lexical token with its byte offset in the source.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
+    pub kind: TokenKind<'a>,
     pub offset: usize,
 }
 
 /// Token kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'a> {
     Slash,
     DoubleSlash,
     LBracket,
@@ -38,21 +41,21 @@ pub enum TokenKind {
     /// `*` in operator position (multiplication).
     Multiply,
     /// `and` | `or` | `div` | `mod` in operator position.
-    OperatorName(String),
+    OperatorName(&'a str),
     /// `axisname::`
-    AxisName(String),
+    AxisName(&'a str),
     /// A name that is immediately followed by `(` — function call or node
     /// test like `text()`.
-    FunctionName(String),
+    FunctionName(&'a str),
     /// Any other name (element/attribute test).
-    Name(String),
-    Literal(String),
+    Name(&'a str),
+    Literal(&'a str),
     Number(f64),
     /// `$name`
-    Variable(String),
+    Variable(&'a str),
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// True if a `*` or operator-name following this token should be read as
     /// an *operator* (XPath 1.0 §3.7 disambiguation).
     fn ends_operand(&self) -> bool {
@@ -80,18 +83,61 @@ impl TokenKind {
     }
 }
 
-/// Tokenizes an XPath expression.
-pub fn tokenize(input: &str) -> XPathResult<Vec<Token>> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let mut tokens: Vec<Token> = Vec::new();
+/// Tokenizes an XPath expression into a vector (see [`Lexer`] for the
+/// streaming form the parser uses).
+pub fn tokenize(input: &str) -> XPathResult<Vec<Token<'_>>> {
+    let mut lexer = Lexer::new(input);
+    let mut tokens = Vec::new();
+    while let Some(t) = lexer.next_token()? {
+        tokens.push(t);
+    }
+    Ok(tokens)
+}
 
-    while pos < bytes.len() {
-        let b = bytes[pos];
-        if b.is_ascii_whitespace() {
-            pos += 1;
-            continue;
+/// A streaming tokenizer over one input.
+#[derive(Debug, Clone)]
+pub struct Lexer<'a> {
+    input: &'a str,
+    pos: usize,
+    /// Whether the previous token ends an operand (false before the first).
+    after_operand: bool,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer positioned at the start of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Lexer { input, pos: 0, after_operand: false }
+    }
+
+    /// The next token, or `None` at the end of the input. After an error
+    /// the lexer stays at the end.
+    pub fn next_token(&mut self) -> XPathResult<Option<Token<'a>>> {
+        match self.lex() {
+            Ok(Some(t)) => {
+                self.after_operand = t.kind.ends_operand();
+                Ok(Some(t))
+            }
+            other => {
+                if other.is_err() {
+                    self.pos = self.input.len();
+                }
+                other
+            }
         }
+    }
+
+    fn lex(&mut self) -> XPathResult<Option<Token<'a>>> {
+        let input = self.input;
+        let bytes = input.as_bytes();
+        let mut pos = self.pos;
+        while pos < bytes.len() && bytes[pos].is_ascii_whitespace() {
+            pos += 1;
+        }
+        if pos >= bytes.len() {
+            self.pos = pos;
+            return Ok(None);
+        }
+        let b = bytes[pos];
         let start = pos;
         let kind = match b {
             b'/' => {
@@ -144,7 +190,7 @@ pub fn tokenize(input: &str) -> XPathResult<Vec<Token>> {
             }
             b'*' => {
                 pos += 1;
-                if tokens.last().is_some_and(|t| t.kind.ends_operand()) {
+                if self.after_operand {
                     TokenKind::Multiply
                 } else {
                     TokenKind::Star
@@ -159,7 +205,7 @@ pub fn tokenize(input: &str) -> XPathResult<Vec<Token>> {
                 if end >= bytes.len() {
                     return Err(XPathError::lex(pos, "unterminated string literal"));
                 }
-                let lit = input[pos + 1..end].to_string();
+                let lit = &input[pos + 1..end];
                 pos = end + 1;
                 TokenKind::Literal(lit)
             }
@@ -180,8 +226,7 @@ pub fn tokenize(input: &str) -> XPathResult<Vec<Token>> {
                     .ok_or_else(|| XPathError::lex(pos, format!("unexpected byte `{}`", b as char)))?;
                 pos = np;
                 // Operator-name disambiguation.
-                let is_op_pos = tokens.last().is_some_and(|t| t.kind.ends_operand());
-                if is_op_pos && matches!(name.as_str(), "and" | "or" | "div" | "mod") {
+                if self.after_operand && matches!(name, "and" | "or" | "div" | "mod") {
                     TokenKind::OperatorName(name)
                 } else {
                     // Peek past whitespace for `::` (axis) or `(` (function).
@@ -200,12 +245,12 @@ pub fn tokenize(input: &str) -> XPathResult<Vec<Token>> {
                 }
             }
         };
-        tokens.push(Token { kind, offset: start });
+        self.pos = pos;
+        Ok(Some(Token { kind, offset: start }))
     }
-    Ok(tokens)
 }
 
-fn lex_name(input: &str, start: usize) -> Option<(String, usize)> {
+fn lex_name(input: &str, start: usize) -> Option<(&str, usize)> {
     let bytes = input.as_bytes();
     let mut pos = start;
     while pos < bytes.len() {
@@ -224,7 +269,7 @@ fn lex_name(input: &str, start: usize) -> Option<(String, usize)> {
     if pos == start {
         None
     } else {
-        Some((input[start..pos].to_string(), pos))
+        Some((&input[start..pos], pos))
     }
 }
 
@@ -250,7 +295,7 @@ fn lex_number(input: &str, start: usize) -> XPathResult<(f64, usize)> {
 mod tests {
     use super::*;
 
-    fn kinds(s: &str) -> Vec<TokenKind> {
+    fn kinds(s: &str) -> Vec<TokenKind<'_>> {
         tokenize(s).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -260,14 +305,14 @@ mod tests {
             kinds("/a//b[@id='x']"),
             vec![
                 TokenKind::Slash,
-                TokenKind::Name("a".into()),
+                TokenKind::Name("a"),
                 TokenKind::DoubleSlash,
-                TokenKind::Name("b".into()),
+                TokenKind::Name("b"),
                 TokenKind::LBracket,
                 TokenKind::At,
-                TokenKind::Name("id".into()),
+                TokenKind::Name("id"),
                 TokenKind::Eq,
-                TokenKind::Literal("x".into()),
+                TokenKind::Literal("x"),
                 TokenKind::RBracket,
             ]
         );
@@ -278,7 +323,7 @@ mod tests {
         // Wildcard after slash; multiply after an operand.
         assert_eq!(
             kinds("a/* "),
-            vec![TokenKind::Name("a".into()), TokenKind::Slash, TokenKind::Star]
+            vec![TokenKind::Name("a"), TokenKind::Slash, TokenKind::Star]
         );
         assert_eq!(
             kinds("2*3"),
@@ -288,7 +333,7 @@ mod tests {
             kinds("@x * 2"),
             vec![
                 TokenKind::At,
-                TokenKind::Name("x".into()),
+                TokenKind::Name("x"),
                 TokenKind::Multiply,
                 TokenKind::Number(2.0)
             ]
@@ -301,21 +346,21 @@ mod tests {
         assert_eq!(
             kinds("a and b"),
             vec![
-                TokenKind::Name("a".into()),
-                TokenKind::OperatorName("and".into()),
-                TokenKind::Name("b".into())
+                TokenKind::Name("a"),
+                TokenKind::OperatorName("and"),
+                TokenKind::Name("b")
             ]
         );
         assert_eq!(
             kinds("/div"),
-            vec![TokenKind::Slash, TokenKind::Name("div".into())]
+            vec![TokenKind::Slash, TokenKind::Name("div")]
         );
         assert_eq!(
             kinds("a div b"),
             vec![
-                TokenKind::Name("a".into()),
-                TokenKind::OperatorName("div".into()),
-                TokenKind::Name("b".into())
+                TokenKind::Name("a"),
+                TokenKind::OperatorName("div"),
+                TokenKind::Name("b")
             ]
         );
     }
@@ -324,18 +369,18 @@ mod tests {
     fn axis_function_and_variable() {
         assert_eq!(
             kinds("child::a"),
-            vec![TokenKind::AxisName("child".into()), TokenKind::Name("a".into())]
+            vec![TokenKind::AxisName("child"), TokenKind::Name("a")]
         );
         assert_eq!(
             kinds("count(x)"),
             vec![
-                TokenKind::FunctionName("count".into()),
+                TokenKind::FunctionName("count"),
                 TokenKind::LParen,
-                TokenKind::Name("x".into()),
+                TokenKind::Name("x"),
                 TokenKind::RParen
             ]
         );
-        assert_eq!(kinds("$v"), vec![TokenKind::Variable("v".into())]);
+        assert_eq!(kinds("$v"), vec![TokenKind::Variable("v")]);
     }
 
     #[test]
@@ -358,20 +403,20 @@ mod tests {
         assert_eq!(
             kinds("a <= b != c >= d"),
             vec![
-                TokenKind::Name("a".into()),
+                TokenKind::Name("a"),
                 TokenKind::Le,
-                TokenKind::Name("b".into()),
+                TokenKind::Name("b"),
                 TokenKind::Ne,
-                TokenKind::Name("c".into()),
+                TokenKind::Name("c"),
                 TokenKind::Ge,
-                TokenKind::Name("d".into()),
+                TokenKind::Name("d"),
             ]
         );
     }
 
     #[test]
     fn double_quoted_literal() {
-        assert_eq!(kinds(r#""hi there""#), vec![TokenKind::Literal("hi there".into())]);
+        assert_eq!(kinds(r#""hi there""#), vec![TokenKind::Literal("hi there")]);
     }
 
     #[test]

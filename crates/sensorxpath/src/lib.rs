@@ -28,13 +28,15 @@ pub mod error;
 pub mod eval;
 pub mod functions;
 pub mod lexer;
+pub mod name;
 pub mod optimize;
 pub mod parser;
 pub mod value;
 
 pub use ast::{Axis, BinOp, Expr, LocationPath, NodeTest, Step};
+pub use name::Name;
 pub use error::{XPathError, XPathResult};
 pub use eval::{evaluate, evaluate_at, EvalContext, Vars};
 pub use optimize::{mark_index_hints, optimize};
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 pub use value::{Value, XNode};

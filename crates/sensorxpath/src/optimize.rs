@@ -14,58 +14,119 @@
 //! no positional predicates (rejected at parse time) and predicate
 //! evaluation here is side-effect-free.
 
-use crate::ast::{Axis, BinOp, Expr, LocationPath, NodeTest, Step};
+use std::sync::Arc;
+
+use crate::ast::{Axis, BinOp, Expr, LocationPath, Name, NodeTest, Step};
 use crate::value::number_to_string;
 
-/// Optimizes an expression tree (see module docs).
+/// Optimizes an expression tree (see module docs). Subtrees the
+/// optimization leaves as they are are shared with `expr`, not copied.
 pub fn optimize(expr: &Expr) -> Expr {
-    fold(expr)
+    fold(expr).unwrap_or_else(|| expr.clone())
 }
 
-fn fold(e: &Expr) -> Expr {
+/// The optimized form of `e`, or `None` when optimizing changes nothing.
+fn fold(e: &Expr) -> Option<Expr> {
     match e {
         Expr::Binary(op, l, r) => {
-            let l = fold(l);
-            let r = fold(r);
-            fold_binary(*op, l, r)
+            let (fl, fr) = (fold_arc(l), fold_arc(r));
+            let changed = fl.is_some() || fr.is_some();
+            let l = fl.unwrap_or_else(|| Arc::clone(l));
+            let r = fr.unwrap_or_else(|| Arc::clone(r));
+            fold_binary(*op, &l, &r).or_else(|| changed.then_some(Expr::Binary(*op, l, r)))
         }
         Expr::Negate(inner) => {
-            let inner = fold(inner);
+            let folded = fold_arc(inner);
+            let changed = folded.is_some();
+            let inner = folded.unwrap_or_else(|| Arc::clone(inner));
             if let Some(n) = as_const_num(&inner) {
-                Expr::Number(-n)
+                Some(Expr::Number(-n))
             } else {
-                Expr::Negate(Box::new(inner))
+                changed.then_some(Expr::Negate(inner))
             }
         }
-        Expr::Union(l, r) => Expr::Union(Box::new(fold(l)), Box::new(fold(r))),
-        Expr::Path(p) => Expr::Path(fold_path(p)),
-        Expr::Filter { primary, predicates, trailing } => Expr::Filter {
-            primary: Box::new(fold(primary)),
-            predicates: predicates.iter().map(fold).collect(),
-            trailing: trailing.iter().map(fold_step).collect(),
-        },
-        Expr::Call(name, args) => {
-            let args: Vec<Expr> = args.iter().map(fold).collect();
-            fold_call(name, args)
+        Expr::Union(l, r) => {
+            let (fl, fr) = (fold_arc(l), fold_arc(r));
+            if fl.is_none() && fr.is_none() {
+                return None;
+            }
+            Some(Expr::Union(
+                fl.unwrap_or_else(|| Arc::clone(l)),
+                fr.unwrap_or_else(|| Arc::clone(r)),
+            ))
         }
-        other => other.clone(),
+        Expr::Path(p) => fold_path(p).map(Expr::Path),
+        Expr::Filter { primary, predicates, trailing } => {
+            let fp = fold_arc(primary);
+            let fpreds = fold_list(predicates, fold);
+            let ftrail = fold_list(trailing, fold_step);
+            if fp.is_none() && fpreds.is_none() && ftrail.is_none() {
+                return None;
+            }
+            Some(Expr::Filter {
+                primary: fp.unwrap_or_else(|| Arc::clone(primary)),
+                predicates: fpreds.unwrap_or_else(|| predicates.clone()),
+                trailing: ftrail.unwrap_or_else(|| trailing.clone()),
+            })
+        }
+        Expr::Call(name, args) => {
+            let folded = fold_list(args, fold);
+            let folded_call = fold_call(name, folded.as_deref().unwrap_or(args));
+            folded_call.or_else(|| folded.map(|args| Expr::Call(name.clone(), args)))
+        }
+        Expr::Literal(_) | Expr::Number(_) | Expr::Var(_) => None,
     }
 }
 
-fn fold_path(p: &LocationPath) -> LocationPath {
-    LocationPath {
-        absolute: p.absolute,
-        steps: p.steps.iter().map(fold_step).collect(),
-    }
+fn fold_arc(e: &Arc<Expr>) -> Option<Arc<Expr>> {
+    fold(e).map(Arc::new)
 }
 
-fn fold_step(s: &Step) -> Step {
-    let mut predicates: Vec<Expr> = s.predicates.iter().map(fold).collect();
+/// Folds every item of `items`: `None` when none changes, else the list
+/// with the changed items replaced.
+fn fold_list<T: Clone>(items: &[T], f: impl Fn(&T) -> Option<T>) -> Option<Vec<T>> {
+    let mut out: Option<Vec<T>> = None;
+    for (i, item) in items.iter().enumerate() {
+        match (f(item), &mut out) {
+            (Some(new), Some(v)) => v.push(new),
+            (Some(new), None) => {
+                let mut v = Vec::with_capacity(items.len());
+                v.extend_from_slice(&items[..i]);
+                v.push(new);
+                out = Some(v);
+            }
+            (None, Some(v)) => v.push(item.clone()),
+            (None, None) => {}
+        }
+    }
+    out
+}
+
+fn fold_path(p: &LocationPath) -> Option<LocationPath> {
+    fold_list(&p.steps, fold_step).map(|steps| LocationPath { absolute: p.absolute, steps })
+}
+
+/// Sort key of a step predicate: id-attribute tests first.
+fn id_last(p: &Expr) -> usize {
+    usize::from(p.as_id_equals().is_none())
+}
+
+fn fold_step(s: &Step) -> Option<Step> {
+    let folded = fold_list(&s.predicates, fold);
+    let preds = folded.as_deref().unwrap_or(&s.predicates);
     // Drop predicates folded to `true()`; a `false()` predicate empties
-    // the step, which downstream evaluation handles naturally.
-    predicates.retain(|p| !is_true_call(p));
-    // Id-attribute-only predicates first (cheap rejection).
-    predicates.sort_by_key(|p| usize::from(p.as_id_equals().is_none()));
+    // the step, which downstream evaluation handles naturally. Id-attribute
+    // tests go first (cheap rejection).
+    let in_place = !preds.iter().any(is_true_call)
+        && preds.windows(2).all(|w| id_last(&w[0]) <= id_last(&w[1]));
+    if folded.is_none() && in_place && s.indexed_id == s.compute_indexed_id() {
+        return None;
+    }
+    let mut predicates = folded.unwrap_or_else(|| s.predicates.clone());
+    if !in_place {
+        predicates.retain(|p| !is_true_call(p));
+        predicates.sort_by_key(id_last);
+    }
     let mut step = Step {
         axis: s.axis,
         test: s.test.clone(),
@@ -76,10 +137,12 @@ fn fold_step(s: &Step) -> Step {
     // be answered from the document's sibling index; mark them for the
     // evaluator's fast path.
     step.indexed_id = step.compute_indexed_id();
-    step
+    Some(step)
 }
 
-fn fold_binary(op: BinOp, l: Expr, r: Expr) -> Expr {
+/// The fold of `l op r` (both already folded), or `None` if it stays a
+/// binary operation.
+fn fold_binary(op: BinOp, l: &Arc<Expr>, r: &Arc<Expr>) -> Option<Expr> {
     use BinOp::*;
     // Boolean short-circuits with constant operands. Eliminating the
     // constant operand must not change the expression's *type*: `x and
@@ -92,74 +155,76 @@ fn fold_binary(op: BinOp, l: Expr, r: Expr) -> Expr {
     // have raised, so that fold requires an infallible left side.
     match op {
         And => {
-            if is_false_call(&l) {
-                return Expr::Call("false".into(), vec![]);
+            if is_false_call(l) {
+                return Some(bool_call(false));
             }
-            if is_true_call(&l) {
-                return as_boolean(r);
+            if is_true_call(l) {
+                return Some(as_boolean(r));
             }
-            if is_true_call(&r) {
-                return as_boolean(l);
+            if is_true_call(r) {
+                return Some(as_boolean(l));
             }
-            if is_false_call(&r) && is_infallible(&l) {
-                return Expr::Call("false".into(), vec![]);
+            if is_false_call(r) && is_infallible(l) {
+                return Some(bool_call(false));
             }
         }
         Or => {
-            if is_true_call(&l) {
-                return Expr::Call("true".into(), vec![]);
+            if is_true_call(l) {
+                return Some(bool_call(true));
             }
-            if is_false_call(&l) {
-                return as_boolean(r);
+            if is_false_call(l) {
+                return Some(as_boolean(r));
             }
-            if is_false_call(&r) {
-                return as_boolean(l);
+            if is_false_call(r) {
+                return Some(as_boolean(l));
             }
-            if is_true_call(&r) && is_infallible(&l) {
-                return Expr::Call("true".into(), vec![]);
+            if is_true_call(r) && is_infallible(l) {
+                return Some(bool_call(true));
             }
         }
         _ => {}
     }
     // Numeric constant folding.
-    if let (Some(a), Some(b)) = (as_const_num(&l), as_const_num(&r)) {
+    if let (Some(a), Some(b)) = (as_const_num(l), as_const_num(r)) {
         let out = match op {
             Add => Some(a + b),
             Sub => Some(a - b),
             Mul => Some(a * b),
             Div => Some(a / b),
             Mod => Some(a % b),
-            Eq => return bool_call(a == b),
-            Ne => return bool_call(a != b),
-            Lt => return bool_call(a < b),
-            Le => return bool_call(a <= b),
-            Gt => return bool_call(a > b),
-            Ge => return bool_call(a >= b),
+            Eq => return Some(bool_call(a == b)),
+            Ne => return Some(bool_call(a != b)),
+            Lt => return Some(bool_call(a < b)),
+            Le => return Some(bool_call(a <= b)),
+            Gt => return Some(bool_call(a > b)),
+            Ge => return Some(bool_call(a >= b)),
             And | Or => None,
         };
         if let Some(n) = out {
             if n.is_finite() {
-                return Expr::Number(n);
+                return Some(Expr::Number(n));
             }
         }
     }
     // String constant comparisons.
-    if let (Expr::Literal(a), Expr::Literal(b)) = (&l, &r) {
+    if let (Expr::Literal(a), Expr::Literal(b)) = (&**l, &**r) {
         match op {
-            Eq => return bool_call(a == b),
-            Ne => return bool_call(a != b),
+            Eq => return Some(bool_call(a == b)),
+            Ne => return Some(bool_call(a != b)),
             _ => {}
         }
     }
-    Expr::Binary(op, Box::new(l), Box::new(r))
+    None
 }
 
-fn fold_call(name: &str, args: Vec<Expr>) -> Expr {
-    match (name, args.as_slice()) {
-        ("not", [a]) if is_true_call(a) => Expr::Call("false".into(), vec![]),
-        ("not", [a]) if is_false_call(a) => Expr::Call("true".into(), vec![]),
+/// The fold of a call of `name` on `args` (already folded), or `None` if
+/// it stays a call.
+fn fold_call(name: &str, args: &[Expr]) -> Option<Expr> {
+    Some(match (name, args) {
+        ("not", [a]) if is_true_call(a) => bool_call(false),
+        ("not", [a]) if is_false_call(a) => bool_call(true),
         ("number", [Expr::Number(n)]) => Expr::Number(*n),
-        ("string", [Expr::Number(n)]) => Expr::Literal(number_to_string(*n)),
+        ("string", [Expr::Number(n)]) => Expr::Literal(Name::from(number_to_string(*n))),
         ("string", [Expr::Literal(s)]) => Expr::Literal(s.clone()),
         ("concat", parts)
             if parts.len() >= 2 && parts.iter().all(|p| matches!(p, Expr::Literal(_))) =>
@@ -171,10 +236,10 @@ fn fold_call(name: &str, args: Vec<Expr>) -> Expr {
                     _ => unreachable!("checked above"),
                 })
                 .collect();
-            Expr::Literal(joined)
+            Expr::Literal(Name::from(joined))
         }
-        _ => Expr::Call(name.to_string(), args),
-    }
+        _ => return None,
+    })
 }
 
 fn as_const_num(e: &Expr) -> Option<f64> {
@@ -193,7 +258,7 @@ fn is_false_call(e: &Expr) -> bool {
 }
 
 fn bool_call(b: bool) -> Expr {
-    Expr::Call(if b { "true" } else { "false" }.to_string(), vec![])
+    Expr::Call(Name::new(if b { "true" } else { "false" }), Vec::new())
 }
 
 /// True if the expression always evaluates to a boolean value.
@@ -210,11 +275,11 @@ fn is_boolean_typed(e: &Expr) -> bool {
 
 /// `e` if it is already boolean-typed, else `boolean(e)` — the coercion
 /// an `and`/`or` operand position would have applied.
-fn as_boolean(e: Expr) -> Expr {
-    if is_boolean_typed(&e) {
-        e
+fn as_boolean(e: &Expr) -> Expr {
+    if is_boolean_typed(e) {
+        e.clone()
     } else {
-        Expr::Call("boolean".into(), vec![e])
+        Expr::Call(Name::new("boolean"), vec![e.clone()])
     }
 }
 
@@ -237,13 +302,13 @@ fn for_each_step(e: &mut Expr, f: &mut dyn FnMut(&mut Step)) {
     match e {
         Expr::Path(p) => walk_steps(&mut p.steps, f),
         Expr::Binary(_, l, r) | Expr::Union(l, r) => {
-            for_each_step(l, f);
-            for_each_step(r, f);
+            for_each_step(Arc::make_mut(l), f);
+            for_each_step(Arc::make_mut(r), f);
         }
-        Expr::Negate(i) => for_each_step(i, f),
+        Expr::Negate(i) => for_each_step(Arc::make_mut(i), f),
         Expr::Call(_, args) => args.iter_mut().for_each(|a| for_each_step(a, f)),
         Expr::Filter { primary, predicates, trailing } => {
-            for_each_step(primary, f);
+            for_each_step(Arc::make_mut(primary), f);
             predicates.iter_mut().for_each(|p| for_each_step(p, f));
             walk_steps(trailing, f);
         }

@@ -44,7 +44,7 @@ pub fn compile(sheet: Stylesheet) -> XsltResult<Compiled> {
 
 fn leading_name(p: &Pattern) -> Option<String> {
     match p.steps.last().map(|s| &s.test) {
-        Some(NodeTest::Name(n)) => Some(n.clone()),
+        Some(NodeTest::Name(n)) => Some(n.to_string()),
         _ => None,
     }
 }

@@ -45,7 +45,7 @@ impl Pattern {
     }
 
     /// A single-step pattern matching elements by name.
-    pub fn element(name: impl Into<String>) -> Pattern {
+    pub fn element(name: impl Into<sensorxpath::Name>) -> Pattern {
         Pattern {
             absolute: false,
             steps: vec![PatternStep {

@@ -403,7 +403,15 @@ impl DesCluster {
                 return;
             }
         }
-        let Some(site) = self.sites.get_mut(&addr) else { return };
+        let Some(site) = self.sites.get_mut(&addr) else {
+            // A stopped site answers nothing. A user query that was on its
+            // way there fails as `site down` when it arrives, as one routed
+            // to it after the stop does (`client_pose`).
+            if let Message::UserQuery { qid, endpoint, .. } = msg {
+                self.reply_site_down(endpoint, qid);
+            }
+            return;
+        };
         let start = self.now.max(site.busy_until);
         let queue_wait = start - self.now;
         if self.recorder.is_some() {
@@ -580,6 +588,12 @@ impl DesCluster {
                 return;
             }
         };
+        // A stopped site answers nothing: fail the query at once, as a pose
+        // to it does, so the client thinks and poses the next one.
+        if !self.sites.contains_key(&target) {
+            self.reply_site_down(Endpoint(idx as u64), qid);
+            return;
+        }
         self.push(
             send_at,
             Payload::ToSite(
@@ -587,6 +601,14 @@ impl DesCluster {
                 Message::UserQuery { qid, text, endpoint: Endpoint(idx as u64) },
             ),
         );
+    }
+
+    /// Completes `(endpoint, qid)` now with [`Reply::site_down`]: a failed,
+    /// partial reply that re-arms a closed-loop client after its think
+    /// time.
+    fn reply_site_down(&mut self, endpoint: Endpoint, qid: QueryId) {
+        let down = Reply::site_down();
+        self.on_reply(endpoint, qid, down.answer_xml, down.ok, down.partial);
     }
 
     /// Resolves where a client posing `text` at `now` sends it, and when

@@ -2,11 +2,14 @@
 //! quickstart topology (site 1 owns the region but Shadyside, site 2 owns
 //! Shadyside): replies come back in posing order with equal answers and
 //! flags, a pose to a stopped site fails fast as `site down`, and
-//! `finish` hands the agents back sorted by address.
+//! `finish` hands the agents back sorted by address. The DES's closed-loop
+//! client load keeps going when a site it routes to is stopped.
 
 use irisdns::SiteAddr;
 use irisnet_core::{IdPath, OaConfig, OrganizingAgent, Service, Status};
-use simnet::{Cluster, CostModel, DesCluster, Reply, ShardConfig, ShardedCluster, Target};
+use simnet::{
+    ClientLoad, Cluster, CostModel, DesCluster, Reply, ShardConfig, ShardedCluster, Target,
+};
 
 const CITY: &str = "/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']\
                     /city[@id='Pittsburgh']";
@@ -134,4 +137,56 @@ fn des_and_sharded_keep_the_cluster_contract_alike() {
         },
     )));
     assert_eq!(des, sharded, "the two implementations answered differently");
+}
+
+/// Stopping a site under a DES client load: every client keeps getting
+/// replies. Queries routed to the stopped site fail at once as `site down`
+/// (failed and partial), the others still succeed, and after the restart
+/// the stopped site answers again.
+#[test]
+fn des_client_load_keeps_going_past_a_stopped_site() {
+    const CLIENTS: u64 = 3;
+    let mut des = DesCluster::new(CostModel::default());
+    boot(&mut des);
+    let mut posed = 0u64;
+    des.set_client_load(ClientLoad {
+        clients: CLIENTS as usize,
+        think_time: 0.05,
+        query_gen: Box::new(move |_| {
+            posed += 1;
+            if posed.is_multiple_of(2) {
+                query("@id='Shadyside'")
+            } else {
+                query("@id='Oakland'")
+            }
+        }),
+    });
+    let phase = |des: &mut DesCluster, until: f64| {
+        let from = des.replies().len();
+        des.run_until(until);
+        des.replies()[from..].to_vec()
+    };
+    let up = phase(&mut des, 5.0);
+    assert!(!up.is_empty() && up.iter().all(|r| r.ok && !r.partial));
+
+    let stopped = des.stop_site(SiteAddr(2)).expect("site 2 running");
+    let down = phase(&mut des, 10.0);
+    for c in 0..CLIENTS {
+        let mine: Vec<_> = down.iter().filter(|r| r.endpoint.0 == c).collect();
+        assert!(
+            mine.last().is_some_and(|r| r.completed_at > 9.0),
+            "client {c} stopped getting replies: {mine:?}"
+        );
+    }
+    let failed: Vec<_> = down.iter().filter(|r| !r.ok).collect();
+    assert!(!failed.is_empty() && down.iter().any(|r| r.ok));
+    let site_down = Reply::site_down();
+    for r in &failed {
+        assert!(r.partial, "{r:?}");
+        assert_eq!(r.answer_len, site_down.answer_xml.len(), "{r:?}");
+    }
+
+    des.restart_site(stopped);
+    let back = phase(&mut des, 15.0);
+    assert!(back.iter().rev().take(2 * CLIENTS as usize).all(|r| r.ok && !r.partial));
 }

@@ -67,3 +67,39 @@ proptest! {
         prop_assert_eq!(out.len(), 1);
     }
 }
+
+/// Deeply nested query text from the network fails cleanly instead of
+/// overflowing the stack: on a thread with a 256 KiB stack (an eighth of a
+/// shard thread's default) the parser rejects 100 000 nested parentheses,
+/// predicates and unary minus signs, and an agent answers each such user
+/// query with one error reply.
+#[test]
+fn deeply_nested_queries_are_rejected_on_a_small_stack() {
+    use irisdns::{AuthoritativeDns, SiteAddr};
+    use irisnet_core::{Endpoint, Message, OaConfig, OrganizingAgent, Service};
+    const DEEP: usize = 100_000;
+    let texts = vec![
+        format!("{}1{}", "(".repeat(DEEP), ")".repeat(DEEP)),
+        format!("/usRegion{}{}", "[a".repeat(DEEP), "]".repeat(DEEP)),
+        format!("{}1", "-".repeat(DEEP)),
+        format!("count({}/usRegion)", "-".repeat(DEEP)),
+    ];
+    let replies = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || {
+            let mut oa = OrganizingAgent::new(SiteAddr(1), Service::parking(), OaConfig::default());
+            let mut dns = AuthoritativeDns::new();
+            texts
+                .into_iter()
+                .map(|text| {
+                    assert!(sensorxpath::parse(&text).is_err());
+                    let msg = Message::UserQuery { qid: 1, text, endpoint: Endpoint(0) };
+                    oa.handle(msg, &mut dns, 0.0).len()
+                })
+                .collect::<Vec<_>>()
+        })
+        .expect("spawn the parsing thread")
+        .join()
+        .expect("parsing thread overflowed its stack or panicked");
+    assert_eq!(replies, vec![1; 4]);
+}
